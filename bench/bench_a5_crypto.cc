@@ -4,13 +4,21 @@
  * crypto processor (Fig. 5). Measures the from-scratch RSA (keygen,
  * sign, verify, encrypt, decrypt), AES-128-CTR, SHA-256, MD5 and
  * HMAC implementations on the host, which bound what the protocol
- * costs per operation.
+ * costs per operation. The printed section compares the SHA-256
+ * compression backends (portable scalar vs x86 SHA extensions) on a
+ * display-frame-sized input.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "bench_obs_util.hh"
 
+#include <chrono>
+#include <cstdio>
+#include <thread>
+
+#include "core/simd/sha256.hh"
+#include "core/simd/simd.hh"
 #include "crypto/aes128.hh"
 #include "crypto/cert.hh"
 #include "crypto/hmac.hh"
@@ -22,6 +30,44 @@ namespace crypto = trust::crypto;
 using trust::core::Bytes;
 
 namespace {
+
+/** SHA-256 MB/s over a 480x800 RGB565 frame on the active backend. */
+double
+sha256MegabytesPerSecond()
+{
+    Bytes frame(480 * 800 * 2, 0x5a);
+    constexpr int kFrames = 24;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < kFrames; ++i) {
+        const Bytes digest = crypto::Sha256::digest(frame);
+        frame[static_cast<std::size_t>(i)] ^= digest[0];
+    }
+    const double s = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+    return static_cast<double>(frame.size()) * kFrames / s / 1e6;
+}
+
+void
+printShaBackends()
+{
+    namespace simd = trust::core::simd;
+    std::printf("=== A5: SHA-256 backends (nproc %u, default backend "
+                "%s) ===\n",
+                std::thread::hardware_concurrency(),
+                simd::sha256BackendName());
+    const bool prev = simd::scalarForced();
+    simd::setForceScalar(true);
+    std::printf("  scalar   %8.1f MB/s\n", sha256MegabytesPerSecond());
+    simd::setForceScalar(false);
+    if (simd::sha256NiActive())
+        std::printf("  sha-ni   %8.1f MB/s\n",
+                    sha256MegabytesPerSecond());
+    else
+        std::printf("  sha-ni   unavailable (CPU or build)\n");
+    simd::setForceScalar(prev);
+    std::printf("\n");
+}
 
 const crypto::RsaKeyPair &
 key512()
@@ -161,6 +207,7 @@ int
 main(int argc, char **argv)
 {
     const auto obs_opts = trust::benchutil::parseObsFlags(argc, argv);
+    printShaBackends();
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;

@@ -1,6 +1,9 @@
 #include "crypto/sha256.hh"
 
+#include <algorithm>
 #include <cstring>
+
+#include "core/simd/sha256.hh"
 
 namespace trust::crypto {
 
@@ -24,6 +27,8 @@ constexpr std::uint32_t kK[64] = {
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 };
+
+constexpr std::size_t kBlockBytes = 64;
 
 inline std::uint32_t
 rotr(std::uint32_t x, int n)
@@ -102,20 +107,42 @@ Sha256::processBlock(const std::uint8_t *block)
 }
 
 void
+Sha256::compress(const std::uint8_t *blocks, std::size_t count)
+{
+    if (core::simd::sha256NiActive()) {
+        core::simd::sha256CompressNi(h_, blocks, count);
+        return;
+    }
+    for (; count > 0; --count, blocks += kBlockBytes)
+        processBlock(blocks);
+}
+
+void
 Sha256::update(const std::uint8_t *data, std::size_t len)
 {
+    if (len == 0)
+        return; // data may be null (empty Bytes)
     totalLen_ += len;
-    while (len > 0) {
-        const std::size_t take = std::min(len, sizeof(buf_) - bufLen_);
+    if (bufLen_ > 0) {
+        const std::size_t take = std::min(len, kBlockBytes - bufLen_);
         std::memcpy(buf_ + bufLen_, data, take);
         bufLen_ += take;
         data += take;
         len -= take;
-        if (bufLen_ == sizeof(buf_)) {
-            processBlock(buf_);
-            bufLen_ = 0;
-        }
+        if (bufLen_ < kBlockBytes)
+            return;
+        compress(buf_, 1);
+        bufLen_ = 0;
     }
+    // Whole blocks straight from the caller's buffer, in one run.
+    const std::size_t blocks = len / kBlockBytes;
+    if (blocks > 0) {
+        compress(data, blocks);
+        data += blocks * kBlockBytes;
+        len -= blocks * kBlockBytes;
+    }
+    std::memcpy(buf_, data, len);
+    bufLen_ = len;
 }
 
 void
@@ -129,16 +156,18 @@ Sha256::finish()
 {
     const std::uint64_t bit_len = totalLen_ * 8;
 
-    // Padding: 0x80, zeros, then 64-bit big-endian bit length.
-    const std::uint8_t pad80 = 0x80;
-    update(&pad80, 1);
-    const std::uint8_t zero = 0;
-    while (bufLen_ != 56)
-        update(&zero, 1);
-    std::uint8_t len_be[8];
+    // Padding: 0x80, zeros, then the 64-bit big-endian bit length,
+    // spilling into a second block when fewer than 8 bytes remain.
+    buf_[bufLen_++] = 0x80;
+    if (bufLen_ > 56) {
+        std::memset(buf_ + bufLen_, 0, kBlockBytes - bufLen_);
+        compress(buf_, 1);
+        bufLen_ = 0;
+    }
+    std::memset(buf_ + bufLen_, 0, 56 - bufLen_);
     for (int i = 0; i < 8; ++i)
-        len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-    update(len_be, 8);
+        buf_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+    compress(buf_, 1);
 
     core::Bytes out(digestSize);
     for (int i = 0; i < 8; ++i) {

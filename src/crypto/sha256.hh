@@ -4,6 +4,10 @@
  *
  * Used by the FLock frame-hash engine, HMAC, certificate signatures
  * and the fingerprint template digests. Streaming and one-shot APIs.
+ *
+ * Whole blocks go to the x86 SHA extensions when the CPU has them
+ * (core/simd/sha256.hh) and to the portable processBlock() otherwise;
+ * both produce identical digests.
  */
 
 #ifndef TRUST_CRYPTO_SHA256_HH
@@ -41,7 +45,10 @@ class Sha256
 
   private:
     void reset();
+    /** Portable FIPS 180-4 block function: the reference backend. */
     void processBlock(const std::uint8_t *block);
+    /** Absorb @p count whole blocks on the active backend. */
+    void compress(const std::uint8_t *blocks, std::size_t count);
 
     std::uint32_t h_[8];
     std::uint8_t buf_[64];

@@ -195,14 +195,10 @@ WebServer::pageEntry(const std::string &tag) const
         if (it != pageCache_.end())
             return it->second;
     }
-    // Build outside the lock: page expansion plus one frame hash per
-    // possible view is the expensive part this cache amortises.
-    // Both are pure functions of (domain, tag, display), so a lost
-    // race just built the same entry twice.
+    // Build outside the lock. The page is a pure function of
+    // (domain, tag), so a lost race just built the same entry twice.
     auto entry = std::make_shared<PageEntry>();
     entry->page = pageFor(tag);
-    entry->viewHashes =
-        expectedFrameHashes(entry->page, display_, frameHash_);
     {
         std::lock_guard<std::mutex> lock(pageCacheMutex_);
         const auto it = pageCache_.find(tag);
@@ -216,6 +212,19 @@ WebServer::pageEntry(const std::string &tag) const
         }
     }
     return entry;
+}
+
+const std::vector<core::Bytes> &
+WebServer::viewHashes(const PageEntry &entry) const
+{
+    // Rendering and hashing every standard view is the expensive
+    // part; only online verification and the audit need it.
+    std::call_once(entry.viewHashesOnce, [&] {
+        entry.viewHashes =
+            expectedFrameHashes(entry.page, display_, frameHash_);
+        viewHashSetBuilds_.fetch_add(1, std::memory_order_relaxed);
+    });
+    return entry.viewHashes;
 }
 
 core::Bytes
@@ -659,8 +668,7 @@ WebServer::handleRegistrationSubmit(const RegistrationSubmit &submit)
     }
 
     // Log the registration frame hash for audit.
-    appendAuditEntry({submit.account, 0, submit.frameHash,
-                      pageEntry("register")->viewHashes});
+    appendAuditEntry({submit.account, 0, "register", submit.frameHash});
 
     // Phase 3 (shard lock): consume the nonce and commit the
     // binding. A concurrent submit of the same nonce loses the race
@@ -824,8 +832,8 @@ WebServer::handleLoginSubmit(const LoginSubmit &submit)
     session.lastRequestId = submit.requestId;
 
     // Log the login frame hash.
-    appendAuditEntry({submit.account, session_id, submit.frameHash,
-                      pageEntry("login")->viewHashes});
+    appendAuditEntry({submit.account, session_id, "login",
+                      submit.frameHash});
 
     ContentPage page =
         makeContentPage(session_id, session, "home", submit.requestId);
@@ -900,10 +908,11 @@ WebServer::handlePageRequest(const PageRequest &request)
     }
 
     // Frame hash: log for offline audit (default) or verify online.
-    // The expected-view set comes from the memoized page entry, so
-    // the per-request audit cost is a cache lookup, not a render.
-    const auto expected = pageEntry(session.currentTag)->viewHashes;
+    // Only online verification needs the expected-view set; it is
+    // built once per cached page entry.
     if (policy_.onlineFrameVerification) {
+        const auto entry = pageEntry(session.currentTag);
+        const auto &expected = viewHashes(*entry);
         const bool hash_known =
             std::find(expected.begin(), expected.end(),
                       request.frameHash) != expected.end();
@@ -913,7 +922,7 @@ WebServer::handlePageRequest(const PageRequest &request)
         }
     }
     appendAuditEntry({request.account, request.sessionId,
-                      request.frameHash, expected});
+                      session.currentTag, request.frameHash});
 
     if (request.requestId != 0)
         session.lastRequestId = request.requestId;
@@ -1122,14 +1131,23 @@ WebServer::expireHandshakes(core::Tick now)
 std::size_t
 WebServer::auditFrameHashes() const
 {
-    std::lock_guard<std::mutex> lock(auditMutex_);
+    std::vector<AuditEntry> log;
+    {
+        std::lock_guard<std::mutex> lock(auditMutex_);
+        log = auditLog_;
+    }
+    // Resolve each distinct tag once, outside the lock. A tag that
+    // has left the page cache is rebuilt: its view set is a pure
+    // function of (domain, tag, display).
+    std::map<std::string, std::shared_ptr<const PageEntry>> pages;
     std::size_t mismatches = 0;
-    for (const auto &entry : auditLog_) {
-        const bool hash_known =
-            std::find(entry.expectedHashes.begin(),
-                      entry.expectedHashes.end(),
-                      entry.frameHash) != entry.expectedHashes.end();
-        if (!hash_known)
+    for (const auto &entry : log) {
+        auto &page = pages[entry.tag];
+        if (!page)
+            page = pageEntry(entry.tag);
+        const auto &expected = viewHashes(*page);
+        if (std::find(expected.begin(), expected.end(),
+                      entry.frameHash) == expected.end())
             ++mismatches;
     }
     return mismatches;
@@ -1140,6 +1158,12 @@ WebServer::auditLogSize() const
 {
     std::lock_guard<std::mutex> lock(auditMutex_);
     return auditLog_.size();
+}
+
+std::size_t
+WebServer::viewHashSetBuilds() const
+{
+    return viewHashSetBuilds_.load(std::memory_order_relaxed);
 }
 
 core::CounterSet

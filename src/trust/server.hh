@@ -120,13 +120,18 @@ struct HandleResult
     bool rejected = false;
 };
 
-/** One audit-log entry (frame hash + what it should have shown). */
+/**
+ * One audit-log entry: the frame hash a device reported and the tag
+ * of the page it was shown. The page's expected view hashes are a
+ * pure function of (domain, tag, display), so the audit recomputes
+ * them instead of copying them into every entry.
+ */
 struct AuditEntry
 {
     std::string account;
     std::uint64_t sessionId = 0;
+    std::string tag;
     core::Bytes frameHash;
-    std::vector<core::Bytes> expectedHashes;
 };
 
 /** The web service. */
@@ -289,11 +294,19 @@ class WebServer
     /**
      * Offline frame-hash audit: number of logged frames whose hash
      * does not belong to the expected view set of the page that was
-     * being displayed (i.e. display-tampering detections).
+     * being displayed (i.e. display-tampering detections). Builds
+     * each distinct tag's view-hash set at most once per call.
      */
     std::size_t auditFrameHashes() const;
 
     std::size_t auditLogSize() const;
+
+    /**
+     * Expected view-hash sets built so far (each one renders and
+     * hashes every standard view of a page). Offline serving builds
+     * none; online verification builds one per cached tag.
+     */
+    std::size_t viewHashSetBuilds() const;
 
     /** Snapshot of the event counters (accepted/rejected by cause). */
     core::CounterSet counters() const;
@@ -376,11 +389,15 @@ class WebServer
         core::Tick lastNow = 0; ///< Last drain timestamp.
     };
 
-    /** Deterministic page content + precomputed view hashes. */
+    /**
+     * Deterministic page content, plus its expected view hashes,
+     * built on first use by online verification or the audit.
+     */
     struct PageEntry
     {
         core::Bytes page;
-        std::vector<core::Bytes> viewHashes;
+        mutable std::once_flag viewHashesOnce;
+        mutable std::vector<core::Bytes> viewHashes;
     };
 
     static constexpr std::size_t kAccountShards = 16;
@@ -423,13 +440,13 @@ class WebServer
     /** Page content generator (deterministic per action). */
     core::Bytes pageFor(const std::string &tag) const;
 
-    /**
-     * Memoized page content + expected view hashes for a tag
-     * (bounded cache; the per-request frame-hash audit cost is paid
-     * once per tag instead of once per request).
-     */
+    /** Memoized page content for a tag (bounded FIFO cache). */
     std::shared_ptr<const PageEntry>
     pageEntry(const std::string &tag) const;
+
+    /** The entry's expected view hashes, built once on demand. */
+    const std::vector<core::Bytes> &
+    viewHashes(const PageEntry &entry) const;
 
     core::Bytes freshNonce();
 
@@ -491,6 +508,7 @@ class WebServer
     mutable std::map<std::string, std::shared_ptr<const PageEntry>>
         pageCache_;
     mutable std::deque<std::string> pageCacheFifo_;
+    mutable std::atomic<std::size_t> viewHashSetBuilds_{0};
 
     mutable std::mutex auditMutex_;
     std::vector<AuditEntry> auditLog_;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/simd/sha256.hh"
+#include "core/simd/simd.hh"
 #include "trust/frames.hh"
 
 namespace {
@@ -116,6 +118,25 @@ TEST(Frames, TamperedContentOutsideExpectedSet)
     const auto h = engine.hashFrame(
         renderFrame(phishing, {100, 0}, smallDisplay()));
     EXPECT_EQ(std::find(hashes.begin(), hashes.end(), h), hashes.end());
+}
+
+TEST(Frames, Sha256BackendsAgreeOnRenderedFrame)
+{
+    // A full-size frame (480x800 RGB565, 768 KB): the input the
+    // frame-hash engine sees on every request.
+    namespace simd = trust::core::simd;
+    const bool prev = simd::scalarForced();
+    const Bytes page(1024, 0x6e);
+    const DisplaySpec display;
+    const Bytes frame = renderFrame(page, {150, 2}, display);
+    ASSERT_EQ(frame.size(), 768000u);
+    FrameHashEngine engine;
+    simd::setForceScalar(true);
+    const Bytes reference = engine.hashFrame(frame);
+    simd::setForceScalar(false);
+    RecordProperty("sha256_backend", simd::sha256BackendName());
+    EXPECT_EQ(engine.hashFrame(frame), reference);
+    simd::setForceScalar(prev);
 }
 
 } // namespace

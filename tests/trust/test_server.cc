@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "crypto/hmac.hh"
 #include "tests/trust/fixtures.hh"
+#include "trust/frames.hh"
 #include "trust/server.hh"
 
 namespace {
@@ -27,11 +30,17 @@ struct LiveSession
     WebServer server;
     trust::trust::FlockModule flock;
     std::uint64_t sessionId = 0;
+    trust::hw::DisplaySpec display;
+    Bytes currentPage; ///< Decrypted content of the last page served.
 
-    LiveSession(std::uint64_t seed)
-        : server("www.x.com", trustCa(), seed),
+    LiveSession(std::uint64_t seed,
+                trust::trust::ServerPolicy policy = {},
+                trust::hw::DisplaySpec display_spec = {})
+        : server("www.x.com", trustCa(), seed, 512, policy,
+                 display_spec),
           flock(makeFlock("dev-ls" + std::to_string(seed), seed + 1,
-                          trustFingers()[0]))
+                          trustFingers()[0])),
+          display(display_spec)
     {
         const auto reg_page = server.handleRegistrationRequest(
             {0, "www.x.com", "alice"});
@@ -53,6 +62,35 @@ struct LiveSession
         TRUST_ASSERT(flock.acceptContentPage(*content),
                      "fixture content accept");
         sessionId = content->sessionId;
+        currentPage =
+            *flock.decryptPageContent("www.x.com", content->pageContent);
+    }
+
+    /**
+     * Touch @p action while the display shows a true rendering of
+     * the current page (view picked by @p seed), or a tampered one.
+     * Returns whether the server answered with a page.
+     */
+    bool
+    browse(std::uint64_t seed, const std::string &action, bool tamper)
+    {
+        const auto views = trust::trust::standardViews();
+        Bytes frame = trust::trust::renderFrame(
+            currentPage, views[seed % views.size()], display);
+        if (tamper)
+            frame[seed % frame.size()] ^= 0x5a;
+        const auto request =
+            flock.makePageRequest("www.x.com", action, frame,
+                                  goodCapture(trustFingers()[0], seed));
+        TRUST_ASSERT(request.has_value(), "fixture request");
+        const auto reply = server.handlePageRequest(*request);
+        if (!reply)
+            return false;
+        TRUST_ASSERT(flock.acceptContentPage(*reply),
+                     "fixture content accept");
+        currentPage =
+            *flock.decryptPageContent("www.x.com", reply->pageContent);
+        return true;
     }
 
     /** A fully valid page request via FLock. */
@@ -318,6 +356,90 @@ TEST(Server, AuditFlagsNonRenderedFrames)
     // registration + login + 3 requests logged.
     EXPECT_EQ(live.server.auditLogSize(), 5u);
     EXPECT_EQ(live.server.auditFrameHashes(), 5u);
+}
+
+// --- Lazy frame-hash audit ------------------------------------------
+
+/** A small display keeps hundreds of renders cheap. */
+trust::hw::DisplaySpec
+smallDisplay()
+{
+    trust::hw::DisplaySpec display;
+    display.width = 64;
+    display.height = 48;
+    display.bytesPerPixel = 2;
+    return display;
+}
+
+TEST(FrameAudit, OfflineServingBuildsNoViewHashSets)
+{
+    LiveSession live(160, {}, smallDisplay());
+    for (std::uint64_t i = 0; i < 40; ++i)
+        ASSERT_TRUE(live.browse(161 + i, "fresh" + std::to_string(i),
+                                /*tamper=*/false));
+    EXPECT_EQ(live.server.viewHashSetBuilds(), 0u);
+    EXPECT_EQ(live.server.auditLogSize(), 42u);
+}
+
+TEST(FrameAudit, AuditAfterPageCacheEvictionFlagsTamperedFrames)
+{
+    // 300 distinct page tags push every early tag out of the
+    // 256-entry page cache before the audit runs.
+    LiveSession live(170, {}, smallDisplay());
+    std::size_t tampered = 0;
+    for (std::uint64_t i = 0; i < 300; ++i) {
+        const bool tamper = i % 10 == 3;
+        tampered += tamper ? 1 : 0;
+        ASSERT_TRUE(
+            live.browse(171 + i, "p" + std::to_string(i), tamper));
+    }
+    EXPECT_EQ(live.server.viewHashSetBuilds(), 0u);
+    // The fixture's registration and login frames are placeholders,
+    // so they are flagged along with the tampered page frames.
+    EXPECT_EQ(live.server.auditFrameHashes(), tampered + 2);
+    // One set per distinct tag shown: register, login, home and the
+    // first 299 page tags (the last page served was never touched).
+    EXPECT_EQ(live.server.viewHashSetBuilds(), 3u + 299u);
+}
+
+TEST(FrameAudit, OnlineRejectsTamperedFramesAndBuildsOncePerTag)
+{
+    trust::trust::ServerPolicy policy;
+    policy.onlineFrameVerification = true;
+    LiveSession live(180, policy, smallDisplay());
+    for (std::uint64_t i = 0; i < 24; ++i)
+        ASSERT_TRUE(live.browse(181 + i, "v" + std::to_string(i % 4),
+                                /*tamper=*/false));
+    // Tags shown: home plus page/v0..v3.
+    EXPECT_EQ(live.server.viewHashSetBuilds(), 5u);
+
+    EXPECT_FALSE(live.browse(300, "v0", /*tamper=*/true));
+    EXPECT_EQ(live.server.counters().get("request-rejected:frame-hash"),
+              1u);
+    EXPECT_EQ(live.server.viewHashSetBuilds(), 5u);
+    // The audit reuses the memoized sets: only the placeholder
+    // registration and login frames are flagged.
+    EXPECT_EQ(live.server.auditFrameHashes(), 2u);
+    EXPECT_EQ(live.server.viewHashSetBuilds(), 7u);
+}
+
+TEST(FrameAudit, ConcurrentAuditsShareOneSetPerTag)
+{
+    LiveSession live(190, {}, smallDisplay());
+    for (std::uint64_t i = 0; i < 12; ++i)
+        ASSERT_TRUE(live.browse(191 + i, "c" + std::to_string(i % 3),
+                                /*tamper=*/i == 5));
+    std::vector<std::size_t> flagged(4);
+    std::vector<std::thread> auditors;
+    for (std::size_t t = 0; t < flagged.size(); ++t)
+        auditors.emplace_back(
+            [&, t] { flagged[t] = live.server.auditFrameHashes(); });
+    for (auto &auditor : auditors)
+        auditor.join();
+    for (const std::size_t n : flagged)
+        EXPECT_EQ(n, 3u); // register, login and one tampered frame
+    // register, login, home and page/c0..c2, each built once.
+    EXPECT_EQ(live.server.viewHashSetBuilds(), 6u);
 }
 
 // --- Dedup cache bounds (TTL + per-sender cap) ----------------------
