@@ -70,16 +70,6 @@ struct ConfigStats
     std::vector<OpOutcome> outcomes;
 };
 
-double
-percentile(std::vector<double> sorted, double q)
-{
-    if (sorted.empty())
-        return 0.0;
-    const auto idx = static_cast<std::size_t>(
-        q * static_cast<double>(sorted.size() - 1) + 0.5);
-    return sorted[std::min(idx, sorted.size() - 1)];
-}
-
 /** The fixed workload: enrolled views plus pre-captured queries. */
 struct Workload
 {
@@ -182,8 +172,8 @@ sweepConfig(const Workload &w, int threads)
         stats.meanMs += l;
     stats.meanMs /= static_cast<double>(latencies.size());
     std::sort(latencies.begin(), latencies.end());
-    stats.p50Ms = percentile(latencies, 0.50);
-    stats.p95Ms = percentile(latencies, 0.95);
+    stats.p50Ms = trust::benchutil::percentile(latencies, 0.50);
+    stats.p95Ms = trust::benchutil::percentile(latencies, 0.95);
     return stats;
 }
 

@@ -80,16 +80,6 @@ struct ConfigStats
     std::vector<ChannelDecision> decisions;
 };
 
-double
-percentile(std::vector<double> sorted, double q)
-{
-    if (sorted.empty())
-        return 0.0;
-    const auto idx = static_cast<std::size_t>(
-        q * static_cast<double>(sorted.size() - 1) + 0.5);
-    return sorted[std::min(idx, sorted.size() - 1)];
-}
-
 /**
  * Per-dispatch wall-clock timing, collected per channel. Channel
  * handlers run serially within a channel, so index-addressed slots
@@ -164,8 +154,8 @@ sweepConfig(const FleetFlags &flags, int threads)
             ? static_cast<double>(result.dispatches) / stats.wallSec
             : 0.0;
     const std::vector<double> sorted = latencies.merged();
-    stats.p50Ms = percentile(sorted, 0.50);
-    stats.p99Ms = percentile(sorted, 0.99);
+    stats.p50Ms = trust::benchutil::percentile(sorted, 0.50);
+    stats.p99Ms = trust::benchutil::percentile(sorted, 0.99);
 
     stats.decisions.reserve(result.channels.size());
     for (const auto &channel : result.channels) {

@@ -80,8 +80,8 @@ runEcosystemScaling()
                 "user" + std::to_string(d));
             if (outcome.registered && outcome.loggedIn)
                 ++point.sessionsOk;
-            point.pages += static_cast<std::uint64_t>(
-                std::max(outcome.pagesReceived, 0));
+            point.pages +=
+                static_cast<std::uint64_t>(outcome.pagesReceived);
         }
 
         point.messages = eco.network().messagesSent();

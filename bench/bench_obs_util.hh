@@ -24,10 +24,12 @@
 #ifndef TRUST_BENCH_BENCH_OBS_UTIL_HH
 #define TRUST_BENCH_BENCH_OBS_UTIL_HH
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/obs/json.hh"
 #include "core/obs/obs.hh"
@@ -90,6 +92,20 @@ writeTextFile(const std::string &path, const std::string &content)
     std::fwrite(content.data(), 1, content.size(), f);
     std::fclose(f);
     return true;
+}
+
+/**
+ * Nearest-rank quantile @p q in [0, 1] of an ascending-sorted
+ * sample (0 for an empty one).
+ */
+inline double
+percentile(const std::vector<double> &sorted, double q)
+{
+    if (sorted.empty())
+        return 0.0;
+    const auto idx = static_cast<std::size_t>(
+        q * static_cast<double>(sorted.size() - 1) + 0.5);
+    return sorted[std::min(idx, sorted.size() - 1)];
 }
 
 /** Dump whatever outputs were requested (call after the workload). */

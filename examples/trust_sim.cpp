@@ -196,8 +196,7 @@ main(int argc, char **argv)
                     device.screen().coverageFraction() * 100.0);
         if (outcome.registered && outcome.loggedIn)
             ++sessions_ok;
-        pages += static_cast<std::uint64_t>(
-            std::max(outcome.pagesReceived, 0));
+        pages += static_cast<std::uint64_t>(outcome.pagesReceived);
     }
     eco.settle();
 

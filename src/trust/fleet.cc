@@ -46,12 +46,8 @@ struct Fleet::Channel
     std::string account;
     core::EventQueue queue;
     net::Network network;
-    // Provisioning artifacts staged across the build phases (the
-    // screen and FLock module are consumed by the device ctor).
     std::optional<touch::UserBehavior> behavior;
     std::optional<fingerprint::MasterFinger> finger;
-    std::optional<hw::BiometricTouchscreen> screen;
-    std::optional<FlockModule> flock;
     std::unique_ptr<MobileDevice> device;
     WebServer *server = nullptr;
     core::obs::AuditLog buffer; ///< This channel's audit capture.
@@ -104,13 +100,12 @@ Fleet::Fleet(const FleetConfig &config, FleetHooks hooks)
 
     // Provisioning that touches only channel-private state runs in
     // parallel: behaviour synthesis, sensor placement, FLock key
-    // generation. Observability is captured per channel so any
-    // records land in the channel's buffer, not the global log.
-    core::parallelFor(0, n, 1, [&](int begin, int end) {
-        for (int i = begin; i < end; ++i) {
-            Channel &ch = *channels_[static_cast<std::size_t>(i)];
-            core::obs::ScopedChannelObs capture(&ch.queue,
-                                                &ch.buffer);
+    // generation. Both provisioning stages leave their records in
+    // the channel buffers; the first run() merges them.
+    std::vector<std::optional<StagedDevice>> staged(
+        static_cast<std::size_t>(n));
+    runStage(
+        [&](Channel &ch) {
             const std::uint64_t uid =
                 static_cast<std::uint64_t>(ch.index) + 1;
             ch.behavior.emplace(touch::UserBehavior::forUser(
@@ -120,15 +115,13 @@ Fleet::Fleet(const FleetConfig &config, FleetHooks hooks)
             core::Rng finger_rng(ch.seedBase + 1);
             ch.finger.emplace(
                 fingerprint::synthesizeFinger(uid, finger_rng));
-            ch.screen.emplace(makeOptimizedScreen(
-                *ch.behavior, config_.sensorTiles,
-                config_.tileSideMm, ch.seedBase + 2));
-            FlockConfig flock_config = config_.flockConfig;
-            flock_config.rsaBits = config_.rsaBits;
-            ch.flock.emplace(ch.name + "-flock", ca_->rootKey(),
-                             ch.seedBase + 3, flock_config);
-        }
-    });
+            staged[static_cast<std::size_t>(ch.index)].emplace(
+                stageDevice(*ch.behavior, config_.sensorTiles,
+                            config_.tileSideMm, config_.flockConfig,
+                            config_.rsaBits, ca_->rootKey(),
+                            ch.name + "-flock", ch.seedBase + 2));
+        },
+        false);
 
     // Certificate issue is the one provisioning step with shared
     // mutable state (the CA's serial counter and RNG): strictly in
@@ -136,16 +129,9 @@ Fleet::Fleet(const FleetConfig &config, FleetHooks hooks)
     // assembly and network wiring ride along (both cheap).
     for (int i = 0; i < n; ++i) {
         Channel &ch = *channels_[static_cast<std::size_t>(i)];
-        ch.flock->installDeviceCertificate(
-            ca_->issue(ch.name + "-flock",
-                       crypto::CertRole::FlockDevice,
-                       ch.flock->devicePublicKey()));
-        ch.device = std::make_unique<MobileDevice>(
-            ch.name, std::move(*ch.screen), std::move(*ch.flock),
-            ch.seedBase + 4);
-        ch.screen.reset();
-        ch.flock.reset();
-        ch.device->attachToNetwork(ch.network);
+        ch.device = provisionDevice(
+            std::move(*staged[static_cast<std::size_t>(i)]), *ca_,
+            ch.name, ch.seedBase + 4, ch.network);
         ch.server =
             servers_[static_cast<std::size_t>(i) %
                      servers_.size()]
@@ -165,63 +151,43 @@ Fleet::Fleet(const FleetConfig &config, FleetHooks hooks)
                 if (hooks_.afterDispatch)
                     hooks_.afterDispatch(chp->index);
                 ++chp->dispatches;
-                // Replies that spent time in an admission queue are
-                // delivered late by exactly that queueing delay (the
-                // common queueDelay == 0 path stays a direct send).
-                if (handled.queueDelay > 0) {
-                    core::Bytes reply = std::move(handled.reply);
-                    const std::string to = m.from;
-                    chp->queue.scheduleAfter(
-                        handled.queueDelay,
-                        [chp, srv, to, reply] {
-                            chp->network.send(srv->domain(), to,
-                                              reply);
-                        });
-                } else {
-                    chp->network.send(srv->domain(), m.from,
-                                      handled.reply);
-                }
+                sendReply(chp->network, srv->domain(), m.from,
+                          std::move(handled));
             });
     }
 
     // Owner enrollment is channel-private again — and the heaviest
     // provisioning step (full fingerprint pipeline per view).
-    core::parallelFor(0, n, 1, [&](int begin, int end) {
-        for (int i = begin; i < end; ++i) {
-            Channel &ch = *channels_[static_cast<std::size_t>(i)];
-            core::obs::ScopedChannelObs capture(&ch.queue,
-                                                &ch.buffer);
+    runStage(
+        [](Channel &ch) {
             if (!ch.device->enrollOwner(*ch.finger))
                 core::warn("fleet: owner enrollment produced no "
                            "usable view");
-        }
-    });
+        },
+        false);
 }
 
 Fleet::~Fleet() = default;
 
 void
-Fleet::runChannel(Channel &channel)
+Fleet::runStage(const std::function<void(Channel &)> &body, bool merge)
 {
-    // While this capture is alive, the executing thread's
-    // obs::audit()/simNow() resolve to this channel's buffer and
-    // clock — concurrently running channels never interleave
-    // records in the global log.
-    core::obs::ScopedChannelObs capture(&channel.queue,
-                                        &channel.buffer);
-    core::Rng rng(channel.seedBase + 5);
-    channel.result.outcome = runBrowsingSession(
-        channel.queue, *channel.device, *channel.server,
-        *channel.behavior, *channel.finger, rng, config_.clicks,
-        channel.account);
-    channel.result.messages = channel.network.messagesSent();
-    channel.result.wireBytes = channel.network.bytesSent();
-    channel.result.simEnd = channel.queue.now();
-}
+    const int n = static_cast<int>(channels_.size());
+    core::parallelFor(0, n, 1, [&](int begin, int end) {
+        for (int i = begin; i < end; ++i) {
+            Channel &channel = *channels_[static_cast<std::size_t>(i)];
+            // While this capture is alive, the executing thread's
+            // obs::audit()/simNow() resolve to this channel's buffer
+            // and clock — concurrently running channels never
+            // interleave records in the global log.
+            core::obs::ScopedChannelObs capture(&channel.queue,
+                                                &channel.buffer);
+            body(channel);
+        }
+    });
+    if (!merge)
+        return;
 
-void
-Fleet::mergeAuditBuffers()
-{
     // Total order from simulation data only: records sort by their
     // own sim tick, ties broken by channel index then the channel-
     // local sequence number. (channel, seq) is unique, so the order
@@ -248,12 +214,15 @@ Fleet::mergeAuditBuffers()
 FleetResult
 Fleet::run()
 {
-    const int n = static_cast<int>(channels_.size());
-    core::parallelFor(0, n, 1, [&](int begin, int end) {
-        for (int i = begin; i < end; ++i)
-            runChannel(*channels_[static_cast<std::size_t>(i)]);
+    runStage([this](Channel &ch) {
+        core::Rng rng(ch.seedBase + 5);
+        ch.result.outcome = runBrowsingSession(
+            ch.queue, *ch.device, *ch.server, *ch.behavior,
+            *ch.finger, rng, config_.clicks, ch.account);
+        ch.result.messages = ch.network.messagesSent();
+        ch.result.wireBytes = ch.network.bytesSent();
+        ch.result.simEnd = ch.queue.now();
     });
-    mergeAuditBuffers();
 
     FleetResult out;
     out.channels.reserve(channels_.size());
@@ -263,36 +232,13 @@ Fleet::run()
             channel->result.outcome.loggedIn)
             ++out.sessionsOk;
         out.pagesServed += static_cast<std::uint64_t>(
-            std::max(channel->result.outcome.pagesReceived, 0));
+            channel->result.outcome.pagesReceived);
         out.dispatches += channel->dispatches;
     }
     return out;
 }
 
 // --- Storm orchestration -------------------------------------------------
-
-namespace {
-
-/** Deliberate press on the critical button (first sensor tile). */
-touch::TouchEvent
-criticalTouch(MobileDevice &device)
-{
-    touch::TouchEvent event;
-    event.position = device.screen().sensors()[0].region.center();
-    event.speed = 0.05; // deliberate press
-    event.gesture = touch::GestureType::Tap;
-    event.target = "critical-button";
-    return event;
-}
-
-} // namespace
-
-/** Replacement-phone parts staged by a parallel provisioning pass. */
-struct Storm::StagedDevice
-{
-    std::optional<hw::BiometricTouchscreen> screen;
-    std::optional<FlockModule> flock;
-};
 
 Storm::Storm(const StormConfig &config, FleetHooks hooks)
     : config_(config), fleet_(config.fleet, std::move(hooks))
@@ -400,6 +346,7 @@ Storm::runLossWave()
 {
     const int n = static_cast<int>(fleet_.channels_.size());
     const int victims = config_.lossVictims;
+    const FleetConfig &fc = fleet_.config_;
 
     // Serial: the CA learns of the losses — revoke every lost
     // phone's certificate, push the CRL, authorize the resets.
@@ -421,85 +368,57 @@ Storm::runLossWave()
     // Parallel: whoever found the lost phones probes the servers
     // with the stale certificates, while replacement phones are
     // staged (channel-private provisioning).
-    std::vector<StagedDevice> staged(static_cast<std::size_t>(n));
+    std::vector<std::optional<StagedDevice>> staged(
+        static_cast<std::size_t>(n));
     std::vector<int> thief_hits(static_cast<std::size_t>(n), 0);
-    core::parallelFor(0, n, 1, [&](int begin, int end) {
-        for (int i = begin; i < end; ++i) {
-            if (role(i) != StormRole::LossVictim)
-                continue;
-            Fleet::Channel &ch =
-                *fleet_.channels_[static_cast<std::size_t>(i)];
-            core::obs::ScopedChannelObs capture(&ch.queue,
-                                                &ch.buffer);
-            thief_hits[static_cast<std::size_t>(i)] =
-                attemptRevokedRegistration(
-                    ch, "mallory" + std::to_string(i),
-                    lost_certs[static_cast<std::size_t>(i)])
-                    ? 1
-                    : 0;
-            StagedDevice &parts =
-                staged[static_cast<std::size_t>(i)];
-            parts.screen.emplace(makeOptimizedScreen(
-                *ch.behavior, fleet_.config_.sensorTiles,
-                fleet_.config_.tileSideMm, ch.seedBase + 16));
-            FlockConfig flock_config = fleet_.config_.flockConfig;
-            flock_config.rsaBits = fleet_.config_.rsaBits;
-            parts.flock.emplace(ch.name + "-flock-r",
-                                fleet_.ca_->rootKey(),
-                                ch.seedBase + 17, flock_config);
-        }
+    fleet_.runStage([&](Fleet::Channel &ch) {
+        if (role(ch.index) != StormRole::LossVictim)
+            return;
+        const auto i = static_cast<std::size_t>(ch.index);
+        thief_hits[i] = attemptRevokedRegistration(
+                            ch, "mallory" + std::to_string(ch.index),
+                            lost_certs[i])
+                            ? 1
+                            : 0;
+        staged[i].emplace(stageDevice(
+            *ch.behavior, fc.sensorTiles, fc.tileSideMm,
+            fc.flockConfig, fc.rsaBits, fleet_.ca_->rootKey(),
+            ch.name + "-flock-r", ch.seedBase + 16));
     });
-    fleet_.mergeAuditBuffers();
     for (int hit : thief_hits)
         result_.thiefRejections += hit;
 
     // Serial: replacement certificates issue in channel order (the
     // CA's serial counter and RNG are shared state), and the new
-    // phone takes over the channel's network endpoint.
+    // phone takes over the channel's network endpoint. It is a new
+    // endpoint: reusing the lost phone's name would collide with the
+    // server's per-sender dedup cache and replay stale baseline
+    // replies into the fresh registration.
     for (int i = 0; i < victims; ++i) {
         Fleet::Channel &ch =
             *fleet_.channels_[static_cast<std::size_t>(i)];
-        StagedDevice &parts = staged[static_cast<std::size_t>(i)];
-        parts.flock->installDeviceCertificate(fleet_.ca_->issue(
-            ch.name + "-flock-r", crypto::CertRole::FlockDevice,
-            parts.flock->devicePublicKey()));
-        // The replacement phone is a new network endpoint: reusing
-        // the lost phone's name would collide with the server's
-        // per-sender dedup cache and replay stale baseline replies
-        // into the fresh registration.
         ch.network.detach(ch.name);
-        ch.device = std::make_unique<MobileDevice>(
-            ch.name + "-r", std::move(*parts.screen),
-            std::move(*parts.flock), ch.seedBase + 18);
-        parts.screen.reset();
-        parts.flock.reset();
-        ch.device->attachToNetwork(ch.network);
+        ch.device = provisionDevice(
+            std::move(*staged[static_cast<std::size_t>(i)]),
+            *fleet_.ca_, ch.name + "-r", ch.seedBase + 18, ch.network);
     }
 
     // Parallel: the re-registration burst — victims enroll and bind
     // from scratch while every other channel keeps browsing, so the
     // burst hits the servers under correlated load.
     std::vector<int> re_registered(static_cast<std::size_t>(n), 0);
-    core::parallelFor(0, n, 1, [&](int begin, int end) {
-        for (int i = begin; i < end; ++i) {
-            Fleet::Channel &ch =
-                *fleet_.channels_[static_cast<std::size_t>(i)];
-            core::obs::ScopedChannelObs capture(&ch.queue,
-                                                &ch.buffer);
-            core::Rng rng(ch.seedBase + 19);
-            if (role(i) == StormRole::LossVictim &&
-                !ch.device->enrollOwner(*ch.finger))
-                core::warn("storm: replacement enrollment produced "
-                           "no usable view");
-            const SessionOutcome outcome = runBrowsingSession(
-                ch.queue, *ch.device, *ch.server, *ch.behavior,
-                *ch.finger, rng, config_.stormClicks, ch.account);
-            if (role(i) == StormRole::LossVictim &&
-                outcome.registered && outcome.loggedIn)
-                re_registered[static_cast<std::size_t>(i)] = 1;
-        }
+    fleet_.runStage([&](Fleet::Channel &ch) {
+        const bool victim = role(ch.index) == StormRole::LossVictim;
+        core::Rng rng(ch.seedBase + 19);
+        if (victim && !ch.device->enrollOwner(*ch.finger))
+            core::warn("storm: replacement enrollment produced "
+                       "no usable view");
+        const SessionOutcome outcome = runBrowsingSession(
+            ch.queue, *ch.device, *ch.server, *ch.behavior,
+            *ch.finger, rng, config_.stormClicks, ch.account);
+        if (victim && outcome.registered && outcome.loggedIn)
+            re_registered[static_cast<std::size_t>(ch.index)] = 1;
     });
-    fleet_.mergeAuditBuffers();
     for (int done : re_registered)
         result_.reRegistrations += done;
 }
@@ -508,43 +427,36 @@ void
 Storm::runUpgradeDay()
 {
     const int n = static_cast<int>(fleet_.channels_.size());
+    const FleetConfig &fc = fleet_.config_;
 
     // Parallel: stage every upgrader's new phone (channel-private).
-    std::vector<StagedDevice> staged(static_cast<std::size_t>(n));
-    core::parallelFor(0, n, 1, [&](int begin, int end) {
-        for (int i = begin; i < end; ++i) {
-            if (role(i) != StormRole::Upgrader)
-                continue;
-            Fleet::Channel &ch =
-                *fleet_.channels_[static_cast<std::size_t>(i)];
-            core::obs::ScopedChannelObs capture(&ch.queue,
-                                                &ch.buffer);
-            StagedDevice &parts =
-                staged[static_cast<std::size_t>(i)];
-            parts.screen.emplace(makeOptimizedScreen(
-                *ch.behavior, fleet_.config_.sensorTiles,
-                fleet_.config_.tileSideMm, ch.seedBase + 24));
-            FlockConfig flock_config = fleet_.config_.flockConfig;
-            flock_config.rsaBits = fleet_.config_.rsaBits;
-            parts.flock.emplace(ch.name + "-flock-u",
-                                fleet_.ca_->rootKey(),
-                                ch.seedBase + 25, flock_config);
-        }
+    std::vector<std::optional<StagedDevice>> staged(
+        static_cast<std::size_t>(n));
+    fleet_.runStage([&](Fleet::Channel &ch) {
+        if (role(ch.index) != StormRole::Upgrader)
+            return;
+        staged[static_cast<std::size_t>(ch.index)].emplace(
+            stageDevice(*ch.behavior, fc.sensorTiles, fc.tileSideMm,
+                        fc.flockConfig, fc.rsaBits,
+                        fleet_.ca_->rootKey(), ch.name + "-flock-u",
+                        ch.seedBase + 24));
     });
-    fleet_.mergeAuditBuffers();
 
-    // Serial: new certificates issue in channel order and the old
-    // phones' certificates retire — upgrade day is also a mass
-    // revocation event, pushed as one CRL.
+    // Serial: new phones get their certificates in channel order and
+    // the old phones' certificates retire — upgrade day is also a
+    // mass revocation event, pushed as one CRL. The new phone joins
+    // the network under its own name (see the loss-wave note on
+    // dedup-cache collisions) but idles until the transfer.
+    std::vector<std::unique_ptr<MobileDevice>> new_phones(
+        static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
         if (role(i) != StormRole::Upgrader)
             continue;
         Fleet::Channel &ch =
             *fleet_.channels_[static_cast<std::size_t>(i)];
-        StagedDevice &parts = staged[static_cast<std::size_t>(i)];
-        parts.flock->installDeviceCertificate(fleet_.ca_->issue(
-            ch.name + "-flock-u", crypto::CertRole::FlockDevice,
-            parts.flock->devicePublicKey()));
+        new_phones[static_cast<std::size_t>(i)] = provisionDevice(
+            std::move(*staged[static_cast<std::size_t>(i)]),
+            *fleet_.ca_, ch.name + "-u", ch.seedBase + 27, ch.network);
         const auto &old_cert = ch.device->flock().deviceCertificate();
         TRUST_ASSERT(old_cert.has_value(),
                      "Storm: upgrader has no device certificate");
@@ -554,63 +466,45 @@ Storm::runUpgradeDay()
 
     // Parallel: the transfers themselves. Export is authorized by
     // the owner's finger on the old phone; the bundle imports into
-    // the staged phone; the old phone is wiped and (negative
+    // the new phone; the old phone is wiped and (negative
     // storyline) fails a pre-reset session resumption before the
     // new phone adopts the identity and logs straight in — no
     // re-registration, the server kept the transferred user key.
     std::vector<int> transferred(static_cast<std::size_t>(n), 0);
-    core::parallelFor(0, n, 1, [&](int begin, int end) {
-        for (int i = begin; i < end; ++i) {
-            if (role(i) != StormRole::Upgrader)
-                continue;
-            Fleet::Channel &ch =
-                *fleet_.channels_[static_cast<std::size_t>(i)];
-            core::obs::ScopedChannelObs capture(&ch.queue,
-                                                &ch.buffer);
-            StagedDevice &parts =
-                staged[static_cast<std::size_t>(i)];
-            core::Rng rng(ch.seedBase + 26);
-            std::optional<core::Bytes> bundle;
-            for (int attempt = 0; attempt < 16 && !bundle;
-                 ++attempt) {
-                const TouchCapture auth = captureTouch(
-                    ch.device->screen(), criticalTouch(*ch.device),
-                    &*ch.finger, rng, 6.0);
-                bundle = ch.device->flock().exportIdentity(
-                    parts.flock->devicePublicKey(), auth.sample);
-            }
-            if (!bundle ||
-                !parts.flock->importIdentity(*bundle)) {
-                core::warn("storm: identity transfer failed");
-                parts.screen.reset();
-                parts.flock.reset();
-                continue;
-            }
-            ch.device->flock().factoryReset();
-            ch.device->resumeSession(ch.server->domain());
-            ch.queue.run();
-            ch.device->onTouch(criticalTouch(*ch.device),
-                               &*ch.finger);
-            ch.queue.run();
-            // New phone, new endpoint (see the loss-wave note on
-            // dedup-cache collisions with the retired name).
-            ch.network.detach(ch.device->name());
-            ch.device = std::make_unique<MobileDevice>(
-                ch.name + "-u", std::move(*parts.screen),
-                std::move(*parts.flock), ch.seedBase + 27);
-            parts.screen.reset();
-            parts.flock.reset();
-            ch.device->attachToNetwork(ch.network);
-            ch.device->adoptTransferredIdentity(
-                ch.server->domain(), ch.account);
-            const SessionOutcome outcome = runBrowsingSession(
-                ch.queue, *ch.device, *ch.server, *ch.behavior,
-                *ch.finger, rng, config_.stormClicks, ch.account);
-            if (outcome.loggedIn)
-                transferred[static_cast<std::size_t>(i)] = 1;
+    fleet_.runStage([&](Fleet::Channel &ch) {
+        if (role(ch.index) != StormRole::Upgrader)
+            return;
+        std::unique_ptr<MobileDevice> &fresh =
+            new_phones[static_cast<std::size_t>(ch.index)];
+        core::Rng rng(ch.seedBase + 26);
+        std::optional<core::Bytes> bundle;
+        for (int attempt = 0; attempt < 16 && !bundle; ++attempt) {
+            const TouchCapture auth = captureTouch(
+                ch.device->screen(), criticalTouch(*ch.device),
+                &*ch.finger, rng, 6.0);
+            bundle = ch.device->flock().exportIdentity(
+                fresh->flock().devicePublicKey(), auth.sample);
         }
+        if (!bundle || !fresh->flock().importIdentity(*bundle)) {
+            core::warn("storm: identity transfer failed");
+            ch.network.detach(fresh->name());
+            return;
+        }
+        ch.device->flock().factoryReset();
+        ch.device->resumeSession(ch.server->domain());
+        ch.queue.run();
+        ch.device->onTouch(criticalTouch(*ch.device), &*ch.finger);
+        ch.queue.run();
+        ch.network.detach(ch.device->name());
+        ch.device = std::move(fresh);
+        ch.device->adoptTransferredIdentity(ch.server->domain(),
+                                            ch.account);
+        const SessionOutcome outcome = runBrowsingSession(
+            ch.queue, *ch.device, *ch.server, *ch.behavior,
+            *ch.finger, rng, config_.stormClicks, ch.account);
+        if (outcome.loggedIn)
+            transferred[static_cast<std::size_t>(ch.index)] = 1;
     });
-    fleet_.mergeAuditBuffers();
     for (int done : transferred)
         result_.transfersCompleted += done;
 }
@@ -664,29 +558,21 @@ Storm::runCompromisedCloseout()
     // both sides log the lockout (flock risk-transition, server
     // request-rejected verdicts).
     std::vector<int> locked(static_cast<std::size_t>(n), 0);
-    core::parallelFor(0, n, 1, [&](int begin, int end) {
-        for (int i = begin; i < end; ++i) {
-            if (role(i) != StormRole::Compromised)
-                continue;
-            Fleet::Channel &ch =
-                *fleet_.channels_[static_cast<std::size_t>(i)];
-            core::obs::ScopedChannelObs capture(&ch.queue,
-                                                &ch.buffer);
-            core::Rng impostor_rng(ch.seedBase + 33);
-            const fingerprint::MasterFinger impostor =
-                fingerprint::synthesizeFinger(
-                    static_cast<std::uint64_t>(ch.index) + 7777,
-                    impostor_rng);
-            for (int t = 0; t < config_.impostorTouches; ++t) {
-                ch.device->onTouch(criticalTouch(*ch.device),
-                                   &impostor);
-                ch.queue.run();
-            }
-            if (ch.device->flock().riskViolated())
-                locked[static_cast<std::size_t>(i)] = 1;
+    fleet_.runStage([&](Fleet::Channel &ch) {
+        if (role(ch.index) != StormRole::Compromised)
+            return;
+        core::Rng impostor_rng(ch.seedBase + 33);
+        const fingerprint::MasterFinger impostor =
+            fingerprint::synthesizeFinger(
+                static_cast<std::uint64_t>(ch.index) + 7777,
+                impostor_rng);
+        for (int t = 0; t < config_.impostorTouches; ++t) {
+            ch.device->onTouch(criticalTouch(*ch.device), &impostor);
+            ch.queue.run();
         }
+        if (ch.device->flock().riskViolated())
+            locked[static_cast<std::size_t>(ch.index)] = 1;
     });
-    fleet_.mergeAuditBuffers();
     for (int hit : locked)
         result_.lockouts += hit;
 
@@ -717,35 +603,26 @@ Storm::runCompromisedCloseout()
     std::vector<int> refused(static_cast<std::size_t>(n), 0);
     std::vector<int> verified(static_cast<std::size_t>(n), 0);
     std::vector<int> tried(static_cast<std::size_t>(n), 0);
-    core::parallelFor(0, n, 1, [&](int begin, int end) {
-        for (int i = begin; i < end; ++i) {
-            Fleet::Channel &ch =
-                *fleet_.channels_[static_cast<std::size_t>(i)];
-            core::obs::ScopedChannelObs capture(&ch.queue,
-                                                &ch.buffer);
-            if (role(i) == StormRole::Compromised) {
-                const auto &cert =
-                    ch.device->flock().deviceCertificate();
-                refused[static_cast<std::size_t>(i)] =
-                    cert && attemptRevokedRegistration(ch, ch.account,
-                                                       *cert)
-                        ? 1
-                        : 0;
-                continue;
-            }
-            tried[static_cast<std::size_t>(i)] = 1;
-            const std::uint64_t pages_before =
-                ch.device->pagesReceived();
-            core::Rng rng(ch.seedBase + 35);
-            const SessionOutcome outcome = runBrowsingSession(
-                ch.queue, *ch.device, *ch.server, *ch.behavior,
-                *ch.finger, rng, config_.verifyClicks, ch.account);
-            if (ch.device->pagesReceived() > pages_before ||
-                outcome.requestsRejected > 0)
-                verified[static_cast<std::size_t>(i)] = 1;
+    fleet_.runStage([&](Fleet::Channel &ch) {
+        const auto i = static_cast<std::size_t>(ch.index);
+        if (role(ch.index) == StormRole::Compromised) {
+            const auto &cert = ch.device->flock().deviceCertificate();
+            refused[i] =
+                cert && attemptRevokedRegistration(ch, ch.account, *cert)
+                    ? 1
+                    : 0;
+            return;
         }
+        tried[i] = 1;
+        const std::uint64_t pages_before = ch.device->pagesReceived();
+        core::Rng rng(ch.seedBase + 35);
+        const SessionOutcome outcome = runBrowsingSession(
+            ch.queue, *ch.device, *ch.server, *ch.behavior, *ch.finger,
+            rng, config_.verifyClicks, ch.account);
+        if (ch.device->pagesReceived() > pages_before ||
+            outcome.requestsRejected > 0)
+            verified[i] = 1;
     });
-    fleet_.mergeAuditBuffers();
     for (int hit : refused)
         result_.revokedRejections += hit;
     for (int i = 0; i < n; ++i) {

@@ -137,8 +137,16 @@ class Fleet
 
     struct Channel;
 
-    void runChannel(Channel &channel);
-    void mergeAuditBuffers();
+    /**
+     * The one channel-stage runner: @p body(channel) for every
+     * channel, concurrently on the global thread pool, each under
+     * its own audit capture; then, when @p merge is set, the
+     * captured records merge into the global log in (tick, channel,
+     * seq) order. Bodies touch only their channel and the
+     * thread-safe servers.
+     */
+    void runStage(const std::function<void(Channel &)> &body,
+                  bool merge = true);
 
     FleetConfig config_;
     FleetHooks hooks_;
@@ -257,8 +265,6 @@ class Storm
     StormRole role(int channel) const;
 
   private:
-    struct StagedDevice;
-
     void runBaseline();
     void runLossWave();
     void runUpgradeDay();

@@ -34,21 +34,9 @@ Ecosystem::addServer(const std::string &domain)
         // The sender address keys the server's duplicate-suppression
         // cache, making device retransmissions idempotent; sim time
         // lets the server age out abandoned handshake nonces.
-        HandleResult handled = ref.handleTimed(
-            message.payload, message.from, queue_.now());
-        // Admission queueing (off by default) delays the reply by the
-        // simulated time the request spent queued; the common
-        // zero-delay path stays a direct send with no extra event.
-        if (handled.queueDelay > 0) {
-            core::Bytes reply = std::move(handled.reply);
-            const std::string to = message.from;
-            queue_.scheduleAfter(
-                handled.queueDelay, [this, &ref, to, reply] {
-                    network_.send(ref.domain(), to, reply);
-                });
-        } else {
-            network_.send(ref.domain(), message.from, handled.reply);
-        }
+        sendReply(network_, ref.domain(), message.from,
+                  ref.handleTimed(message.payload, message.from,
+                                  queue_.now()));
     });
     servers_.push_back(std::move(server));
     return ref;
@@ -59,21 +47,15 @@ Ecosystem::addDevice(const std::string &name,
                      const touch::UserBehavior &behavior,
                      const fingerprint::MasterFinger &owner)
 {
-    hw::BiometricTouchscreen screen = makeOptimizedScreen(
-        behavior, config_.sensorTiles, config_.tileSideMm, nextSeed_++);
-
-    FlockConfig flock_config = config_.flockConfig;
-    flock_config.rsaBits = config_.rsaBits;
-    FlockModule flock(name + "-flock", ca_->rootKey(), nextSeed_++,
-                      flock_config);
-    flock.installDeviceCertificate(
-        ca_->issue(name + "-flock", crypto::CertRole::FlockDevice,
-                   flock.devicePublicKey()));
-
-    auto device = std::make_unique<MobileDevice>(
-        name, std::move(screen), std::move(flock), nextSeed_++);
+    // Three seeds of the chain: placement, FLock keys, host RNG.
+    const std::uint64_t seed = nextSeed_;
+    nextSeed_ += 3;
+    std::unique_ptr<MobileDevice> device = provisionDevice(
+        stageDevice(behavior, config_.sensorTiles, config_.tileSideMm,
+                    config_.flockConfig, config_.rsaBits,
+                    ca_->rootKey(), name + "-flock", seed),
+        *ca_, name, seed + 2, network_);
     MobileDevice &ref = *device;
-    ref.attachToNetwork(network_);
     if (!ref.enrollOwner(owner))
         core::warn("owner enrollment produced no usable view");
     devices_.push_back(std::move(device));
@@ -101,6 +83,65 @@ makeOptimizedScreen(const touch::UserBehavior &behavior, int tiles,
         panel_spec, placement::toPlacedSensors(placement));
 }
 
+StagedDevice
+stageDevice(const touch::UserBehavior &behavior, int tiles,
+            double tile_side_mm, FlockConfig flock_config,
+            std::size_t rsa_bits, const crypto::RsaPublicKey &ca_key,
+            std::string flock_name, std::uint64_t seed)
+{
+    flock_config.rsaBits = rsa_bits;
+    return StagedDevice{
+        makeOptimizedScreen(behavior, tiles, tile_side_mm, seed),
+        FlockModule(std::move(flock_name), ca_key, seed + 1,
+                    flock_config)};
+}
+
+std::unique_ptr<MobileDevice>
+provisionDevice(StagedDevice staged, crypto::CertificateAuthority &ca,
+                std::string name, std::uint64_t seed,
+                net::Network &network)
+{
+    staged.flock.installDeviceCertificate(
+        ca.issue(staged.flock.deviceId(), crypto::CertRole::FlockDevice,
+                 staged.flock.devicePublicKey()));
+    auto device = std::make_unique<MobileDevice>(
+        std::move(name), std::move(staged.screen),
+        std::move(staged.flock), seed);
+    device->attachToNetwork(network);
+    return device;
+}
+
+void
+sendReply(net::Network &network, const std::string &from,
+          const std::string &to, HandleResult handled)
+{
+    // Admission queueing (off by default) delays the reply by the
+    // simulated time the request spent queued; the common
+    // zero-delay path stays a direct send with no extra event.
+    if (handled.queueDelay == 0) {
+        network.send(from, to, handled.reply);
+        return;
+    }
+    network.queue().scheduleAfter(
+        handled.queueDelay,
+        [&network, from, to, reply = std::move(handled.reply)] {
+            network.send(from, to, reply);
+        });
+}
+
+touch::TouchEvent
+criticalTouch(MobileDevice &device)
+{
+    TRUST_ASSERT(!device.screen().sensors().empty(),
+                 "criticalTouch: device has no sensor tiles");
+    touch::TouchEvent event;
+    event.position = device.screen().sensors()[0].region.center();
+    event.speed = 0.05; // deliberate press
+    event.gesture = touch::GestureType::Tap;
+    event.target = "critical-button";
+    return event;
+}
+
 SessionOutcome
 runBrowsingSession(Ecosystem &ecosystem, MobileDevice &device,
                    WebServer &server,
@@ -124,22 +165,6 @@ runBrowsingSession(core::EventQueue &queue, MobileDevice &device,
     SessionOutcome outcome;
     const std::string &domain = server.domain();
 
-    // The registration / login confirmation buttons are drawn over
-    // the first sensor tile (critical-button countermeasure).
-    TRUST_ASSERT(!device.screen().sensors().empty(),
-                 "runBrowsingSession: device has no sensor tiles");
-    const core::Vec2 critical_button =
-        device.screen().sensors()[0].region.center();
-
-    auto critical_touch = [&]() {
-        touch::TouchEvent event;
-        event.position = critical_button;
-        event.speed = 0.05; // deliberate press
-        event.gesture = touch::GestureType::Tap;
-        event.target = "critical-button";
-        return event;
-    };
-
     // Registration (Fig. 9). A rejected confirmation touch (per
     // touch FRR of partial prints) just means the user presses the
     // button again, re-requesting the page.
@@ -148,7 +173,7 @@ runBrowsingSession(core::EventQueue &queue, MobileDevice &device,
          ++attempt) {
         device.startRegistration(domain, account);
         queue.run();
-        device.onTouch(critical_touch(), &finger);
+        device.onTouch(criticalTouch(device), &finger);
         queue.run();
     }
     outcome.registered = device.registrationComplete(domain);
@@ -160,7 +185,7 @@ runBrowsingSession(core::EventQueue &queue, MobileDevice &device,
          attempt < 16 && !device.sessionActive(domain); ++attempt) {
         device.startLogin(domain);
         queue.run();
-        device.onTouch(critical_touch(), &finger);
+        device.onTouch(criticalTouch(device), &finger);
         queue.run();
     }
     outcome.loggedIn = device.sessionActive(domain);
@@ -168,7 +193,9 @@ runBrowsingSession(core::EventQueue &queue, MobileDevice &device,
         return outcome;
 
     // Natural browsing: every touch is a navigation plus an
-    // opportunistic authentication sample.
+    // opportunistic authentication sample. Only pages accepted in
+    // reply to these touches count: not the login page, not resume
+    // pages, not pages from earlier sessions on this device.
     const std::uint64_t rejected_before =
         device.counters().get("server-error-reply");
     const auto touches = touch::generateSession(
@@ -183,14 +210,15 @@ runBrowsingSession(core::EventQueue &queue, MobileDevice &device,
              ++attempt) {
             device.resumeSession(domain);
             queue.run();
-            device.onTouch(critical_touch(), &finger);
+            device.onTouch(criticalTouch(device), &finger);
             queue.run();
         }
+        const std::uint64_t pages_before = device.pagesReceived();
         device.onTouch(event, &finger);
         queue.run();
+        outcome.pagesReceived +=
+            static_cast<int>(device.pagesReceived() - pages_before);
     }
-    outcome.pagesReceived =
-        static_cast<int>(device.pagesReceived()) - 1; // minus login page
     outcome.requestsRejected = static_cast<int>(
         device.counters().get("server-error-reply") - rejected_before);
     return outcome;

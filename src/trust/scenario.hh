@@ -92,20 +92,68 @@ hw::BiometricTouchscreen
 makeOptimizedScreen(const touch::UserBehavior &behavior, int tiles,
                     double tile_side_mm, std::uint64_t seed);
 
+/**
+ * Device parts built by the channel-private provisioning step
+ * (stageDevice) and consumed by the CA step (provisionDevice).
+ */
+struct StagedDevice
+{
+    hw::BiometricTouchscreen screen;
+    FlockModule flock;
+};
+
+/**
+ * Provisioning step 1, channel-private (safe inside parallelFor):
+ * place @p tiles sensor tiles for @p behavior (placement seed
+ * @p seed) and generate the FLock module @p flock_name with
+ * @p rsa_bits keys (seed + 1).
+ */
+StagedDevice stageDevice(const touch::UserBehavior &behavior,
+                         int tiles, double tile_side_mm,
+                         FlockConfig flock_config,
+                         std::size_t rsa_bits,
+                         const crypto::RsaPublicKey &ca_key,
+                         std::string flock_name, std::uint64_t seed);
+
+/**
+ * Provisioning step 2, the CA step: issue and install the FLock
+ * device certificate, then build device @p name (host seed @p seed)
+ * and attach it to @p network. Run it serially, in a fixed order:
+ * it advances the CA's serial counter.
+ */
+std::unique_ptr<MobileDevice>
+provisionDevice(StagedDevice staged, crypto::CertificateAuthority &ca,
+                std::string name, std::uint64_t seed,
+                net::Network &network);
+
+/**
+ * Send a handled request's reply from @p from to @p to: directly,
+ * or late by the simulated time the request spent queued.
+ */
+void sendReply(net::Network &network, const std::string &from,
+               const std::string &to, HandleResult handled);
+
+/**
+ * A deliberate press on the critical (registration / login /
+ * transfer) button, drawn over the device's first sensor tile per
+ * the paper's critical-button countermeasure.
+ */
+touch::TouchEvent criticalTouch(MobileDevice &device);
+
 /** Outcome of a scripted end-to-end browsing session. */
 struct SessionOutcome
 {
     bool registered = false;
     bool loggedIn = false;
+    /** Pages accepted in reply to this call's browsing touches. */
     int pagesReceived = 0;
     int requestsRejected = 0;
 };
 
 /**
  * Drive one device through registration, login and @p clicks
- * natural browsing touches against @p server. The critical
- * registration/login buttons are displayed over the device's first
- * sensor tile, per the paper's critical-button countermeasure.
+ * natural browsing touches against @p server, confirming each
+ * handshake with criticalTouch().
  *
  * @param finger physical finger doing the touching (the enrolled
  *               owner for genuine runs; another finger to play an

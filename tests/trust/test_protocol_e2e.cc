@@ -49,6 +49,32 @@ TEST(ProtocolE2E, GenuineSessionCompletes)
     EXPECT_EQ(server.auditFrameHashes(), 0u);
 }
 
+/**
+ * A session counts only the pages its own browsing touches brought
+ * back: a second session on an already logged-in device must not
+ * report the first session's pages (or the login page) again.
+ */
+TEST(ProtocolE2E, EachSessionCountsOnlyItsOwnPages)
+{
+    EcosystemConfig config;
+    config.seed = 9050;
+    Ecosystem eco(config);
+    auto &server = eco.addServer("www.bank.com");
+    const auto behavior = standardBehavior(5);
+    auto &device =
+        eco.addDevice("phone-a", behavior, trustFingers()[0]);
+
+    Rng rng(9051);
+    for (int session = 0; session < 2; ++session) {
+        const auto outcome =
+            runBrowsingSession(eco, device, server, behavior,
+                               trustFingers()[0], rng, 6, "alice");
+        EXPECT_TRUE(outcome.loggedIn) << "session " << session;
+        EXPECT_EQ(outcome.pagesReceived, 6) << "session " << session;
+    }
+    EXPECT_EQ(device.pagesReceived(), 13u); // login page + 2 x 6
+}
+
 TEST(ProtocolE2E, MultipleDevicesAndServers)
 {
     EcosystemConfig config;

@@ -171,16 +171,6 @@ behavior(std::uint64_t user)
                trust::touch::keyboardLayout()});
 }
 
-trust::touch::TouchEvent
-criticalTouch(MobileDevice &device)
-{
-    trust::touch::TouchEvent event;
-    event.position = device.screen().sensors()[0].region.center();
-    event.speed = 0.05;
-    event.gesture = trust::touch::GestureType::Tap;
-    return event;
-}
-
 /** A short backoff schedule so exhaustion happens in test time. */
 RetryPolicy
 fastRetries()

@@ -503,16 +503,6 @@ TEST(Storm, KillAtEveryByteMidStormRecoversCommittedPrefix)
 
 // --- Negative storylines -------------------------------------------------
 
-trust::touch::TouchEvent
-stormCriticalTouch(MobileDevice &device)
-{
-    trust::touch::TouchEvent event;
-    event.position = device.screen().sensors()[0].region.center();
-    event.speed = 0.05;
-    event.gesture = trust::touch::GestureType::Tap;
-    return event;
-}
-
 /**
  * After an identity transfer the old phone is wiped: it can no
  * longer authenticate (Sec. IV-B), its pre-reset session resumption
@@ -551,7 +541,7 @@ TEST(Storm, TransferredIdentityLocksOutOldDevice)
     const std::uint64_t pages_before = old_phone.pagesReceived();
     old_phone.resumeSession("www.bank.com");
     eco.settle();
-    old_phone.onTouch(stormCriticalTouch(old_phone),
+    old_phone.onTouch(criticalTouch(old_phone),
                       &trustFingers()[0]);
     eco.settle();
     EXPECT_EQ(old_phone.pagesReceived(), pages_before);
