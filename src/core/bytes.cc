@@ -93,6 +93,14 @@ ByteWriter::writeString(const std::string &v)
     buf_.insert(buf_.end(), v.begin(), v.end());
 }
 
+void
+ByteWriter::put(const std::vector<std::uint64_t> &v)
+{
+    writeU32(static_cast<std::uint32_t>(v.size()));
+    for (const std::uint64_t x : v)
+        writeU64(x);
+}
+
 bool
 ByteReader::need(std::size_t n)
 {
@@ -186,6 +194,22 @@ std::string
 ByteReader::readString()
 {
     return toString(readBytes());
+}
+
+void
+ByteReader::get(std::vector<std::uint64_t> &v)
+{
+    const std::uint32_t n = readU32();
+    v.clear();
+    // The count is untrusted: refuse one the remaining bytes cannot
+    // hold before reserving for it.
+    if (n > remaining() / 8) {
+        ok_ = false;
+        return;
+    }
+    v.reserve(n);
+    for (std::uint32_t i = 0; i < n; ++i)
+        v.push_back(readU64());
 }
 
 } // namespace trust::core

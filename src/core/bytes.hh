@@ -57,6 +57,26 @@ class ByteWriter
     /** Length-prefixed (u32) UTF-8 string. */
     void writeString(const std::string &v);
 
+    /** @name Field codec: one overload per field type, read back by
+     *  the matching ByteReader::get(). */
+    ///@{
+    void put(bool v) { writeBool(v); }
+    void put(std::uint32_t v) { writeU32(v); }
+    void put(std::uint64_t v) { writeU64(v); }
+    void put(const std::string &v) { writeString(v); }
+    void put(const Bytes &v) { writeBytes(v); }
+    /** u32 count, then each value as u64. */
+    void put(const std::vector<std::uint64_t> &v);
+    ///@}
+
+    /** Every field of @p record, in the order T::fields() lists them. */
+    template <class T>
+    void
+    putFields(const T &record)
+    {
+        T::fields(record, [this](const auto &...v) { (put(v), ...); });
+    }
+
   private:
     Bytes buf_;
 };
@@ -89,6 +109,25 @@ class ByteReader
 
     /** Length-prefixed UTF-8 string. */
     std::string readString();
+
+    /** @name Field codec: the inverse of ByteWriter::put(). */
+    ///@{
+    void get(bool &v) { v = readBool(); }
+    void get(std::uint32_t &v) { v = readU32(); }
+    void get(std::uint64_t &v) { v = readU64(); }
+    void get(std::string &v) { v = readString(); }
+    void get(Bytes &v) { v = readBytes(); }
+    /** Fails (ok() turns false) on a count the buffer cannot hold. */
+    void get(std::vector<std::uint64_t> &v);
+    ///@}
+
+    /** Every field of @p record, in the order T::fields() lists them. */
+    template <class T>
+    void
+    getFields(T &record)
+    {
+        T::fields(record, [this](auto &...v) { (get(v), ...); });
+    }
 
     /** True unless a read ran past the end of the buffer. */
     bool ok() const { return ok_; }

@@ -4,25 +4,53 @@ namespace trust::trust {
 
 namespace {
 
-/** Begin a payload with its kind byte and request id. */
+/**
+ * The authenticated body of @p m: kind byte, request id (unless
+ * @p with_request_id is false), then M::fields() in order. A CRL or
+ * reset authorization leaves the request id out so one signed
+ * artifact can be redelivered under fresh ids.
+ */
+template <class M>
 core::ByteWriter
-beginMessage(MsgKind kind, std::uint64_t request_id)
+writeBody(const M &m, bool with_request_id = true)
 {
     core::ByteWriter w;
-    w.writeU8(static_cast<std::uint8_t>(kind));
-    w.writeU64(request_id);
+    w.writeU8(static_cast<std::uint8_t>(M::kKind));
+    if (with_request_id)
+        w.writeU64(m.requestId);
+    w.putFields(m);
     return w;
 }
 
-/** Open a reader and verify the kind byte. */
+/** The full wire payload: the body, then the auth field if any. */
+template <class M>
+core::Bytes
+encode(const M &m)
+{
+    core::ByteWriter w = writeBody(m);
+    if constexpr (requires { M::kAuth; })
+        w.put(m.*M::kAuth);
+    return w.take();
+}
+
+/** Total inverse of encode(): nullopt on a wrong kind byte, a short
+ *  read, or trailing bytes. */
 // trustlint: untrusted-input
-std::optional<core::ByteReader>
-openMessage(const core::Bytes &payload, MsgKind expected)
+template <class M>
+std::optional<M>
+decode(const core::Bytes &payload)
 {
     core::ByteReader r(payload);
-    if (r.readU8() != static_cast<std::uint8_t>(expected) || !r.ok())
+    if (r.readU8() != static_cast<std::uint8_t>(M::kKind))
         return std::nullopt;
-    return r;
+    M m;
+    m.requestId = r.readU64();
+    r.getFields(m);
+    if constexpr (requires { M::kAuth; })
+        r.get(m.*M::kAuth);
+    if (!r.ok() || !r.atEnd())
+        return std::nullopt;
+    return m;
 }
 
 } // namespace
@@ -34,7 +62,7 @@ peekKind(const core::Bytes &payload)
     if (payload.empty())
         return std::nullopt;
     const std::uint8_t k = payload[0];
-    if (k < 1 || k > 14)
+    if (k < 1 || k > static_cast<std::uint8_t>(kLastMsgKind))
         return std::nullopt;
     return static_cast<MsgKind>(k);
 }
@@ -58,26 +86,14 @@ peekRequestId(const core::Bytes &payload)
 core::Bytes
 RegistrationRequest::serialize() const
 {
-    auto w = beginMessage(MsgKind::RegistrationRequest, requestId);
-    w.writeString(domain);
-    w.writeString(account);
-    return w.take();
+    return encode(*this);
 }
 
 // trustlint: untrusted-input
 std::optional<RegistrationRequest>
 RegistrationRequest::deserialize(const core::Bytes &payload)
 {
-    auto r = openMessage(payload, MsgKind::RegistrationRequest);
-    if (!r)
-        return std::nullopt;
-    RegistrationRequest m;
-    m.requestId = r->readU64();
-    m.domain = r->readString();
-    m.account = r->readString();
-    if (!r->ok() || !r->atEnd())
-        return std::nullopt;
-    return m;
+    return decode<RegistrationRequest>(payload);
 }
 
 // --- RegistrationPage ----------------------------------------------------
@@ -85,45 +101,20 @@ RegistrationRequest::deserialize(const core::Bytes &payload)
 core::Bytes
 RegistrationPage::signedBody() const
 {
-    core::ByteWriter w;
-    w.writeU8(static_cast<std::uint8_t>(MsgKind::RegistrationPage));
-    w.writeU64(requestId);
-    w.writeString(domain);
-    w.writeBytes(nonce);
-    w.writeBytes(pageContent);
-    w.writeBytes(serverCert);
-    return w.take();
+    return writeBody(*this).take();
 }
 
 core::Bytes
 RegistrationPage::serialize() const
 {
-    auto w = beginMessage(MsgKind::RegistrationPage, requestId);
-    w.writeString(domain);
-    w.writeBytes(nonce);
-    w.writeBytes(pageContent);
-    w.writeBytes(serverCert);
-    w.writeBytes(signature);
-    return w.take();
+    return encode(*this);
 }
 
 // trustlint: untrusted-input
 std::optional<RegistrationPage>
 RegistrationPage::deserialize(const core::Bytes &payload)
 {
-    auto r = openMessage(payload, MsgKind::RegistrationPage);
-    if (!r)
-        return std::nullopt;
-    RegistrationPage m;
-    m.requestId = r->readU64();
-    m.domain = r->readString();
-    m.nonce = r->readBytes();
-    m.pageContent = r->readBytes();
-    m.serverCert = r->readBytes();
-    m.signature = r->readBytes();
-    if (!r->ok() || !r->atEnd())
-        return std::nullopt;
-    return m;
+    return decode<RegistrationPage>(payload);
 }
 
 // --- RegistrationSubmit --------------------------------------------------
@@ -131,51 +122,20 @@ RegistrationPage::deserialize(const core::Bytes &payload)
 core::Bytes
 RegistrationSubmit::signedBody() const
 {
-    core::ByteWriter w;
-    w.writeU8(static_cast<std::uint8_t>(MsgKind::RegistrationSubmit));
-    w.writeU64(requestId);
-    w.writeString(domain);
-    w.writeString(account);
-    w.writeBytes(nonce);
-    w.writeBytes(deviceCert);
-    w.writeBytes(userPublicKey);
-    w.writeBytes(frameHash);
-    return w.take();
+    return writeBody(*this).take();
 }
 
 core::Bytes
 RegistrationSubmit::serialize() const
 {
-    auto w = beginMessage(MsgKind::RegistrationSubmit, requestId);
-    w.writeString(domain);
-    w.writeString(account);
-    w.writeBytes(nonce);
-    w.writeBytes(deviceCert);
-    w.writeBytes(userPublicKey);
-    w.writeBytes(frameHash);
-    w.writeBytes(signature);
-    return w.take();
+    return encode(*this);
 }
 
 // trustlint: untrusted-input
 std::optional<RegistrationSubmit>
 RegistrationSubmit::deserialize(const core::Bytes &payload)
 {
-    auto r = openMessage(payload, MsgKind::RegistrationSubmit);
-    if (!r)
-        return std::nullopt;
-    RegistrationSubmit m;
-    m.requestId = r->readU64();
-    m.domain = r->readString();
-    m.account = r->readString();
-    m.nonce = r->readBytes();
-    m.deviceCert = r->readBytes();
-    m.userPublicKey = r->readBytes();
-    m.frameHash = r->readBytes();
-    m.signature = r->readBytes();
-    if (!r->ok() || !r->atEnd())
-        return std::nullopt;
-    return m;
+    return decode<RegistrationSubmit>(payload);
 }
 
 // --- RegistrationResult --------------------------------------------------
@@ -183,30 +143,14 @@ RegistrationSubmit::deserialize(const core::Bytes &payload)
 core::Bytes
 RegistrationResult::serialize() const
 {
-    auto w = beginMessage(MsgKind::RegistrationResult, requestId);
-    w.writeString(domain);
-    w.writeString(account);
-    w.writeBool(ok);
-    w.writeString(reason);
-    return w.take();
+    return encode(*this);
 }
 
 // trustlint: untrusted-input
 std::optional<RegistrationResult>
 RegistrationResult::deserialize(const core::Bytes &payload)
 {
-    auto r = openMessage(payload, MsgKind::RegistrationResult);
-    if (!r)
-        return std::nullopt;
-    RegistrationResult m;
-    m.requestId = r->readU64();
-    m.domain = r->readString();
-    m.account = r->readString();
-    m.ok = r->readBool();
-    m.reason = r->readString();
-    if (!r->ok() || !r->atEnd())
-        return std::nullopt;
-    return m;
+    return decode<RegistrationResult>(payload);
 }
 
 // --- LoginRequest ---------------------------------------------------------
@@ -214,26 +158,14 @@ RegistrationResult::deserialize(const core::Bytes &payload)
 core::Bytes
 LoginRequest::serialize() const
 {
-    auto w = beginMessage(MsgKind::LoginRequest, requestId);
-    w.writeString(domain);
-    w.writeString(account);
-    return w.take();
+    return encode(*this);
 }
 
 // trustlint: untrusted-input
 std::optional<LoginRequest>
 LoginRequest::deserialize(const core::Bytes &payload)
 {
-    auto r = openMessage(payload, MsgKind::LoginRequest);
-    if (!r)
-        return std::nullopt;
-    LoginRequest m;
-    m.requestId = r->readU64();
-    m.domain = r->readString();
-    m.account = r->readString();
-    if (!r->ok() || !r->atEnd())
-        return std::nullopt;
-    return m;
+    return decode<LoginRequest>(payload);
 }
 
 // --- LoginPage --------------------------------------------------------------
@@ -241,42 +173,20 @@ LoginRequest::deserialize(const core::Bytes &payload)
 core::Bytes
 LoginPage::signedBody() const
 {
-    core::ByteWriter w;
-    w.writeU8(static_cast<std::uint8_t>(MsgKind::LoginPage));
-    w.writeU64(requestId);
-    w.writeString(domain);
-    w.writeBytes(nonce);
-    w.writeBytes(pageContent);
-    return w.take();
+    return writeBody(*this).take();
 }
 
 core::Bytes
 LoginPage::serialize() const
 {
-    auto w = beginMessage(MsgKind::LoginPage, requestId);
-    w.writeString(domain);
-    w.writeBytes(nonce);
-    w.writeBytes(pageContent);
-    w.writeBytes(signature);
-    return w.take();
+    return encode(*this);
 }
 
 // trustlint: untrusted-input
 std::optional<LoginPage>
 LoginPage::deserialize(const core::Bytes &payload)
 {
-    auto r = openMessage(payload, MsgKind::LoginPage);
-    if (!r)
-        return std::nullopt;
-    LoginPage m;
-    m.requestId = r->readU64();
-    m.domain = r->readString();
-    m.nonce = r->readBytes();
-    m.pageContent = r->readBytes();
-    m.signature = r->readBytes();
-    if (!r->ok() || !r->atEnd())
-        return std::nullopt;
-    return m;
+    return decode<LoginPage>(payload);
 }
 
 // --- LoginSubmit ------------------------------------------------------------
@@ -284,54 +194,20 @@ LoginPage::deserialize(const core::Bytes &payload)
 core::Bytes
 LoginSubmit::macBody() const
 {
-    core::ByteWriter w;
-    w.writeU8(static_cast<std::uint8_t>(MsgKind::LoginSubmit));
-    w.writeU64(requestId);
-    w.writeString(domain);
-    w.writeString(account);
-    w.writeBytes(nonce);
-    w.writeBytes(encSessionKey);
-    w.writeBytes(frameHash);
-    w.writeU32(riskMatched);
-    w.writeU32(riskWindow);
-    return w.take();
+    return writeBody(*this).take();
 }
 
 core::Bytes
 LoginSubmit::serialize() const
 {
-    auto w = beginMessage(MsgKind::LoginSubmit, requestId);
-    w.writeString(domain);
-    w.writeString(account);
-    w.writeBytes(nonce);
-    w.writeBytes(encSessionKey);
-    w.writeBytes(frameHash);
-    w.writeU32(riskMatched);
-    w.writeU32(riskWindow);
-    w.writeBytes(mac);
-    return w.take();
+    return encode(*this);
 }
 
 // trustlint: untrusted-input
 std::optional<LoginSubmit>
 LoginSubmit::deserialize(const core::Bytes &payload)
 {
-    auto r = openMessage(payload, MsgKind::LoginSubmit);
-    if (!r)
-        return std::nullopt;
-    LoginSubmit m;
-    m.requestId = r->readU64();
-    m.domain = r->readString();
-    m.account = r->readString();
-    m.nonce = r->readBytes();
-    m.encSessionKey = r->readBytes();
-    m.frameHash = r->readBytes();
-    m.riskMatched = r->readU32();
-    m.riskWindow = r->readU32();
-    m.mac = r->readBytes();
-    if (!r->ok() || !r->atEnd())
-        return std::nullopt;
-    return m;
+    return decode<LoginSubmit>(payload);
 }
 
 // --- ContentPage ------------------------------------------------------------
@@ -339,45 +215,20 @@ LoginSubmit::deserialize(const core::Bytes &payload)
 core::Bytes
 ContentPage::macBody() const
 {
-    core::ByteWriter w;
-    w.writeU8(static_cast<std::uint8_t>(MsgKind::ContentPage));
-    w.writeU64(requestId);
-    w.writeString(domain);
-    w.writeU64(sessionId);
-    w.writeBytes(nonce);
-    w.writeBytes(pageContent);
-    return w.take();
+    return writeBody(*this).take();
 }
 
 core::Bytes
 ContentPage::serialize() const
 {
-    auto w = beginMessage(MsgKind::ContentPage, requestId);
-    w.writeString(domain);
-    w.writeU64(sessionId);
-    w.writeBytes(nonce);
-    w.writeBytes(pageContent);
-    w.writeBytes(mac);
-    return w.take();
+    return encode(*this);
 }
 
 // trustlint: untrusted-input
 std::optional<ContentPage>
 ContentPage::deserialize(const core::Bytes &payload)
 {
-    auto r = openMessage(payload, MsgKind::ContentPage);
-    if (!r)
-        return std::nullopt;
-    ContentPage m;
-    m.requestId = r->readU64();
-    m.domain = r->readString();
-    m.sessionId = r->readU64();
-    m.nonce = r->readBytes();
-    m.pageContent = r->readBytes();
-    m.mac = r->readBytes();
-    if (!r->ok() || !r->atEnd())
-        return std::nullopt;
-    return m;
+    return decode<ContentPage>(payload);
 }
 
 // --- PageRequest ------------------------------------------------------------
@@ -385,57 +236,20 @@ ContentPage::deserialize(const core::Bytes &payload)
 core::Bytes
 PageRequest::macBody() const
 {
-    core::ByteWriter w;
-    w.writeU8(static_cast<std::uint8_t>(MsgKind::PageRequest));
-    w.writeU64(requestId);
-    w.writeString(domain);
-    w.writeString(account);
-    w.writeU64(sessionId);
-    w.writeBytes(nonce);
-    w.writeString(action);
-    w.writeBytes(frameHash);
-    w.writeU32(riskMatched);
-    w.writeU32(riskWindow);
-    return w.take();
+    return writeBody(*this).take();
 }
 
 core::Bytes
 PageRequest::serialize() const
 {
-    auto w = beginMessage(MsgKind::PageRequest, requestId);
-    w.writeString(domain);
-    w.writeString(account);
-    w.writeU64(sessionId);
-    w.writeBytes(nonce);
-    w.writeString(action);
-    w.writeBytes(frameHash);
-    w.writeU32(riskMatched);
-    w.writeU32(riskWindow);
-    w.writeBytes(mac);
-    return w.take();
+    return encode(*this);
 }
 
 // trustlint: untrusted-input
 std::optional<PageRequest>
 PageRequest::deserialize(const core::Bytes &payload)
 {
-    auto r = openMessage(payload, MsgKind::PageRequest);
-    if (!r)
-        return std::nullopt;
-    PageRequest m;
-    m.requestId = r->readU64();
-    m.domain = r->readString();
-    m.account = r->readString();
-    m.sessionId = r->readU64();
-    m.nonce = r->readBytes();
-    m.action = r->readString();
-    m.frameHash = r->readBytes();
-    m.riskMatched = r->readU32();
-    m.riskWindow = r->readU32();
-    m.mac = r->readBytes();
-    if (!r->ok() || !r->atEnd())
-        return std::nullopt;
-    return m;
+    return decode<PageRequest>(payload);
 }
 
 // --- ErrorReply -------------------------------------------------------------
@@ -443,26 +257,14 @@ PageRequest::deserialize(const core::Bytes &payload)
 core::Bytes
 ErrorReply::serialize() const
 {
-    auto w = beginMessage(MsgKind::ErrorReply, requestId);
-    w.writeString(domain);
-    w.writeString(reason);
-    return w.take();
+    return encode(*this);
 }
 
 // trustlint: untrusted-input
 std::optional<ErrorReply>
 ErrorReply::deserialize(const core::Bytes &payload)
 {
-    auto r = openMessage(payload, MsgKind::ErrorReply);
-    if (!r)
-        return std::nullopt;
-    ErrorReply m;
-    m.requestId = r->readU64();
-    m.domain = r->readString();
-    m.reason = r->readString();
-    if (!r->ok() || !r->atEnd())
-        return std::nullopt;
-    return m;
+    return decode<ErrorReply>(payload);
 }
 
 // --- ServerBusy --------------------------------------------------------------
@@ -470,26 +272,14 @@ ErrorReply::deserialize(const core::Bytes &payload)
 core::Bytes
 ServerBusy::serialize() const
 {
-    auto w = beginMessage(MsgKind::ServerBusy, requestId);
-    w.writeString(domain);
-    w.writeU64(retryAfter);
-    return w.take();
+    return encode(*this);
 }
 
 // trustlint: untrusted-input
 std::optional<ServerBusy>
 ServerBusy::deserialize(const core::Bytes &payload)
 {
-    auto r = openMessage(payload, MsgKind::ServerBusy);
-    if (!r)
-        return std::nullopt;
-    ServerBusy m;
-    m.requestId = r->readU64();
-    m.domain = r->readString();
-    m.retryAfter = r->readU64();
-    if (!r->ok() || !r->atEnd())
-        return std::nullopt;
-    return m;
+    return decode<ServerBusy>(payload);
 }
 
 // --- CrlMessage --------------------------------------------------------------
@@ -497,49 +287,20 @@ ServerBusy::deserialize(const core::Bytes &payload)
 core::Bytes
 CrlMessage::signedBody() const
 {
-    core::ByteWriter w;
-    w.writeU8(static_cast<std::uint8_t>(MsgKind::CrlMessage));
-    w.writeString(issuer);
-    w.writeU64(crlSeq);
-    w.writeU32(static_cast<std::uint32_t>(revokedSerials.size()));
-    for (std::uint64_t serial : revokedSerials)
-        w.writeU64(serial);
-    return w.take();
+    return writeBody(*this, /*with_request_id=*/false).take();
 }
 
 core::Bytes
 CrlMessage::serialize() const
 {
-    auto w = beginMessage(MsgKind::CrlMessage, requestId);
-    w.writeString(issuer);
-    w.writeU64(crlSeq);
-    w.writeU32(static_cast<std::uint32_t>(revokedSerials.size()));
-    for (std::uint64_t serial : revokedSerials)
-        w.writeU64(serial);
-    w.writeBytes(signature);
-    return w.take();
+    return encode(*this);
 }
 
 // trustlint: untrusted-input
 std::optional<CrlMessage>
 CrlMessage::deserialize(const core::Bytes &payload)
 {
-    auto r = openMessage(payload, MsgKind::CrlMessage);
-    if (!r)
-        return std::nullopt;
-    CrlMessage m;
-    m.requestId = r->readU64();
-    m.issuer = r->readString();
-    m.crlSeq = r->readU64();
-    const std::uint32_t count = r->readU32();
-    // The count is attacker-controlled: bail out the moment the
-    // reader runs dry instead of reserving `count` elements.
-    for (std::uint32_t i = 0; i < count && r->ok(); ++i)
-        m.revokedSerials.push_back(r->readU64());
-    m.signature = r->readBytes();
-    if (!r->ok() || !r->atEnd())
-        return std::nullopt;
-    return m;
+    return decode<CrlMessage>(payload);
 }
 
 // --- CrlAck ------------------------------------------------------------------
@@ -547,28 +308,14 @@ CrlMessage::deserialize(const core::Bytes &payload)
 core::Bytes
 CrlAck::serialize() const
 {
-    auto w = beginMessage(MsgKind::CrlAck, requestId);
-    w.writeString(domain);
-    w.writeU64(crlSeq);
-    w.writeU32(revokedCount);
-    return w.take();
+    return encode(*this);
 }
 
 // trustlint: untrusted-input
 std::optional<CrlAck>
 CrlAck::deserialize(const core::Bytes &payload)
 {
-    auto r = openMessage(payload, MsgKind::CrlAck);
-    if (!r)
-        return std::nullopt;
-    CrlAck m;
-    m.requestId = r->readU64();
-    m.domain = r->readString();
-    m.crlSeq = r->readU64();
-    m.revokedCount = r->readU32();
-    if (!r->ok() || !r->atEnd())
-        return std::nullopt;
-    return m;
+    return decode<CrlAck>(payload);
 }
 
 // --- ResetRequest ------------------------------------------------------------
@@ -576,41 +323,20 @@ CrlAck::deserialize(const core::Bytes &payload)
 core::Bytes
 ResetRequest::signedBody() const
 {
-    core::ByteWriter w;
-    w.writeU8(static_cast<std::uint8_t>(MsgKind::ResetRequest));
-    w.writeString(domain);
-    w.writeString(account);
-    w.writeU64(authSeq);
-    return w.take();
+    return writeBody(*this, /*with_request_id=*/false).take();
 }
 
 core::Bytes
 ResetRequest::serialize() const
 {
-    auto w = beginMessage(MsgKind::ResetRequest, requestId);
-    w.writeString(domain);
-    w.writeString(account);
-    w.writeU64(authSeq);
-    w.writeBytes(signature);
-    return w.take();
+    return encode(*this);
 }
 
 // trustlint: untrusted-input
 std::optional<ResetRequest>
 ResetRequest::deserialize(const core::Bytes &payload)
 {
-    auto r = openMessage(payload, MsgKind::ResetRequest);
-    if (!r)
-        return std::nullopt;
-    ResetRequest m;
-    m.requestId = r->readU64();
-    m.domain = r->readString();
-    m.account = r->readString();
-    m.authSeq = r->readU64();
-    m.signature = r->readBytes();
-    if (!r->ok() || !r->atEnd())
-        return std::nullopt;
-    return m;
+    return decode<ResetRequest>(payload);
 }
 
 } // namespace trust::trust

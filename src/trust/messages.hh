@@ -8,6 +8,13 @@
  * submission is RSA-signed with the FLock device key; session-phase
  * messages carry an HMAC under the negotiated session key. Every
  * message embeds the current nonce so replays are detectable.
+ *
+ * Wire layout (DESIGN.md §8): the kind byte, the u64 request id,
+ * then the struct's `fields(m, f)` list in order, then — for signed
+ * or MAC'd kinds — the auth field named by `kAuth`. The signed/MAC
+ * body is the same bytes without the auth field. Each layout is
+ * stated once, in `fields`; messages.cc derives serialize(),
+ * deserialize() and the auth body from it for every kind.
  */
 
 #ifndef TRUST_TRUST_MESSAGES_HH
@@ -41,6 +48,9 @@ enum class MsgKind : std::uint8_t
     ResetRequest = 14,
 };
 
+/** The highest kind byte peekKind() accepts; a new kind moves it. */
+constexpr MsgKind kLastMsgKind = MsgKind::ResetRequest;
+
 /** Read the kind byte of a raw payload (nullopt if empty/unknown). */
 std::optional<MsgKind> peekKind(const core::Bytes &payload);
 
@@ -56,9 +66,13 @@ std::optional<std::uint64_t> peekRequestId(const core::Bytes &payload);
 /** Device -> server: start account binding. */
 struct RegistrationRequest
 {
+    static constexpr MsgKind kKind = MsgKind::RegistrationRequest;
     std::uint64_t requestId = 0; ///< Sender-monotonic id (0 = none).
     std::string domain;
     std::string account;
+
+    /** Wire fields after the request id, in wire order. */
+    static void fields(auto &m, auto &&f) { f(m.domain, m.account); }
 
     core::Bytes serialize() const;
     static std::optional<RegistrationRequest>
@@ -68,6 +82,7 @@ struct RegistrationRequest
 /** Server -> device: registration page + certificate + nonce. */
 struct RegistrationPage
 {
+    static constexpr MsgKind kKind = MsgKind::RegistrationPage;
     std::uint64_t requestId = 0; ///< Sender-monotonic id (0 = none).
     std::string domain;
     core::Bytes nonce;       ///< Fresh 16-byte server nonce.
@@ -78,6 +93,13 @@ struct RegistrationPage
     /** The byte string the signature covers. */
     core::Bytes signedBody() const;
 
+    /** Wire fields after the request id, in wire order. */
+    static void fields(auto &m, auto &&f)
+    {
+        f(m.domain, m.nonce, m.pageContent, m.serverCert);
+    }
+    static constexpr auto kAuth = &RegistrationPage::signature;
+
     core::Bytes serialize() const;
     static std::optional<RegistrationPage>
     deserialize(const core::Bytes &payload);
@@ -86,6 +108,7 @@ struct RegistrationPage
 /** Device -> server: the Fig. 9 binding submission. */
 struct RegistrationSubmit
 {
+    static constexpr MsgKind kKind = MsgKind::RegistrationSubmit;
     std::uint64_t requestId = 0; ///< Sender-monotonic id (0 = none).
     std::string domain;
     std::string account;
@@ -97,6 +120,14 @@ struct RegistrationSubmit
 
     core::Bytes signedBody() const;
 
+    /** Wire fields after the request id, in wire order. */
+    static void fields(auto &m, auto &&f)
+    {
+        f(m.domain, m.account, m.nonce, m.deviceCert, m.userPublicKey,
+          m.frameHash);
+    }
+    static constexpr auto kAuth = &RegistrationSubmit::signature;
+
     core::Bytes serialize() const;
     static std::optional<RegistrationSubmit>
     deserialize(const core::Bytes &payload);
@@ -105,11 +136,18 @@ struct RegistrationSubmit
 /** Server -> device: binding outcome. */
 struct RegistrationResult
 {
+    static constexpr MsgKind kKind = MsgKind::RegistrationResult;
     std::uint64_t requestId = 0; ///< Sender-monotonic id (0 = none).
     std::string domain;
     std::string account;
     bool ok = false;
     std::string reason;
+
+    /** Wire fields after the request id, in wire order. */
+    static void fields(auto &m, auto &&f)
+    {
+        f(m.domain, m.account, m.ok, m.reason);
+    }
 
     core::Bytes serialize() const;
     static std::optional<RegistrationResult>
@@ -119,9 +157,13 @@ struct RegistrationResult
 /** Device -> server: request the login page. */
 struct LoginRequest
 {
+    static constexpr MsgKind kKind = MsgKind::LoginRequest;
     std::uint64_t requestId = 0; ///< Sender-monotonic id (0 = none).
     std::string domain;
     std::string account;
+
+    /** Wire fields after the request id, in wire order. */
+    static void fields(auto &m, auto &&f) { f(m.domain, m.account); }
 
     core::Bytes serialize() const;
     static std::optional<LoginRequest>
@@ -131,6 +173,7 @@ struct LoginRequest
 /** Server -> device: login page with a fresh nonce. */
 struct LoginPage
 {
+    static constexpr MsgKind kKind = MsgKind::LoginPage;
     std::uint64_t requestId = 0; ///< Sender-monotonic id (0 = none).
     std::string domain;
     core::Bytes nonce;
@@ -138,6 +181,13 @@ struct LoginPage
     core::Bytes signature; ///< Server RSA signature over body.
 
     core::Bytes signedBody() const;
+
+    /** Wire fields after the request id, in wire order. */
+    static void fields(auto &m, auto &&f)
+    {
+        f(m.domain, m.nonce, m.pageContent);
+    }
+    static constexpr auto kAuth = &LoginPage::signature;
 
     core::Bytes serialize() const;
     static std::optional<LoginPage>
@@ -147,6 +197,7 @@ struct LoginPage
 /** Device -> server: the Fig. 10 login submission. */
 struct LoginSubmit
 {
+    static constexpr MsgKind kKind = MsgKind::LoginSubmit;
     std::uint64_t requestId = 0; ///< Sender-monotonic id (0 = none).
     std::string domain;
     std::string account;
@@ -159,6 +210,14 @@ struct LoginSubmit
 
     core::Bytes macBody() const;
 
+    /** Wire fields after the request id, in wire order. */
+    static void fields(auto &m, auto &&f)
+    {
+        f(m.domain, m.account, m.nonce, m.encSessionKey, m.frameHash,
+          m.riskMatched, m.riskWindow);
+    }
+    static constexpr auto kAuth = &LoginSubmit::mac;
+
     core::Bytes serialize() const;
     static std::optional<LoginSubmit>
     deserialize(const core::Bytes &payload);
@@ -167,6 +226,7 @@ struct LoginSubmit
 /** Server -> device: content page inside a session. */
 struct ContentPage
 {
+    static constexpr MsgKind kKind = MsgKind::ContentPage;
     std::uint64_t requestId = 0; ///< Sender-monotonic id (0 = none).
     std::string domain;
     std::uint64_t sessionId = 0;
@@ -176,6 +236,13 @@ struct ContentPage
 
     core::Bytes macBody() const;
 
+    /** Wire fields after the request id, in wire order. */
+    static void fields(auto &m, auto &&f)
+    {
+        f(m.domain, m.sessionId, m.nonce, m.pageContent);
+    }
+    static constexpr auto kAuth = &ContentPage::mac;
+
     core::Bytes serialize() const;
     static std::optional<ContentPage>
     deserialize(const core::Bytes &payload);
@@ -184,6 +251,7 @@ struct ContentPage
 /** Device -> server: one continuous-auth page request (Fig. 10). */
 struct PageRequest
 {
+    static constexpr MsgKind kKind = MsgKind::PageRequest;
     std::uint64_t requestId = 0; ///< Sender-monotonic id (0 = none).
     std::string domain;
     std::string account;
@@ -197,6 +265,14 @@ struct PageRequest
 
     core::Bytes macBody() const;
 
+    /** Wire fields after the request id, in wire order. */
+    static void fields(auto &m, auto &&f)
+    {
+        f(m.domain, m.account, m.sessionId, m.nonce, m.action, m.frameHash,
+          m.riskMatched, m.riskWindow);
+    }
+    static constexpr auto kAuth = &PageRequest::mac;
+
     core::Bytes serialize() const;
     static std::optional<PageRequest>
     deserialize(const core::Bytes &payload);
@@ -205,9 +281,13 @@ struct PageRequest
 /** Server -> device: rejection (bad MAC, stale nonce, risk...). */
 struct ErrorReply
 {
+    static constexpr MsgKind kKind = MsgKind::ErrorReply;
     std::uint64_t requestId = 0; ///< Sender-monotonic id (0 = none).
     std::string domain;
     std::string reason;
+
+    /** Wire fields after the request id, in wire order. */
+    static void fields(auto &m, auto &&f) { f(m.domain, m.reason); }
 
     core::Bytes serialize() const;
     static std::optional<ErrorReply>
@@ -222,10 +302,14 @@ struct ErrorReply
  */
 struct ServerBusy
 {
+    static constexpr MsgKind kKind = MsgKind::ServerBusy;
     std::uint64_t requestId = 0; ///< Sender-monotonic id (0 = none).
     std::string domain;
     /** Server's estimate of its current queue drain time (ticks). */
     core::Tick retryAfter = 0;
+
+    /** Wire fields after the request id, in wire order. */
+    static void fields(auto &m, auto &&f) { f(m.domain, m.retryAfter); }
 
     core::Bytes serialize() const;
     static std::optional<ServerBusy>
@@ -243,6 +327,7 @@ struct ServerBusy
  */
 struct CrlMessage
 {
+    static constexpr MsgKind kKind = MsgKind::CrlMessage;
     std::uint64_t requestId = 0; ///< Sender-monotonic id (0 = none).
     std::string issuer;          ///< CA name, e.g. "TrustRootCA".
     std::uint64_t crlSeq = 0;    ///< CA-monotonic list sequence.
@@ -252,6 +337,13 @@ struct CrlMessage
     /** The byte string the signature covers (no request id). */
     core::Bytes signedBody() const;
 
+    /** Wire fields after the request id, in wire order. */
+    static void fields(auto &m, auto &&f)
+    {
+        f(m.issuer, m.crlSeq, m.revokedSerials);
+    }
+    static constexpr auto kAuth = &CrlMessage::signature;
+
     core::Bytes serialize() const;
     static std::optional<CrlMessage>
     deserialize(const core::Bytes &payload);
@@ -260,10 +352,17 @@ struct CrlMessage
 /** Server -> CA: CRL applied; reports the cache's new high-water. */
 struct CrlAck
 {
+    static constexpr MsgKind kKind = MsgKind::CrlAck;
     std::uint64_t requestId = 0; ///< Sender-monotonic id (0 = none).
     std::string domain;
     std::uint64_t crlSeq = 0;       ///< Server's max sequence seen.
     std::uint32_t revokedCount = 0; ///< Union cache size after merge.
+
+    /** Wire fields after the request id, in wire order. */
+    static void fields(auto &m, auto &&f)
+    {
+        f(m.domain, m.crlSeq, m.revokedCount);
+    }
 
     core::Bytes serialize() const;
     static std::optional<CrlAck>
@@ -281,6 +380,7 @@ struct CrlAck
  */
 struct ResetRequest
 {
+    static constexpr MsgKind kKind = MsgKind::ResetRequest;
     std::uint64_t requestId = 0; ///< Sender-monotonic id (0 = none).
     std::string domain;
     std::string account;
@@ -289,6 +389,13 @@ struct ResetRequest
 
     /** The byte string the signature covers (no request id). */
     core::Bytes signedBody() const;
+
+    /** Wire fields after the request id, in wire order. */
+    static void fields(auto &m, auto &&f)
+    {
+        f(m.domain, m.account, m.authSeq);
+    }
+    static constexpr auto kAuth = &ResetRequest::signature;
 
     core::Bytes serialize() const;
     static std::optional<ResetRequest>

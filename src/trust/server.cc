@@ -29,18 +29,6 @@ sessionCipher(const core::Bytes &session_key, const core::Bytes &data,
 
 } // namespace
 
-StoredSession
-WebServer::storedSession(const SessionState &session)
-{
-    StoredSession stored;
-    stored.account = session.account;
-    stored.sessionKey = session.sessionKey;
-    stored.expectedNonce = session.expectedNonce;
-    stored.currentTag = session.currentTag;
-    stored.lastRequestId = session.lastRequestId;
-    return stored;
-}
-
 std::size_t
 WebServer::hashKey(std::string_view key)
 {
@@ -149,16 +137,10 @@ WebServer::attachStore(TrustStore *store)
         std::lock_guard<std::mutex> lock(shard.accountsMutex);
         shard.database[account] = *key;
     }
-    for (const auto &[id, stored] : state.sessions) {
-        SessionState session;
-        session.account = stored.account;
-        session.sessionKey = stored.sessionKey;
-        session.expectedNonce = stored.expectedNonce;
-        session.currentTag = stored.currentTag;
-        session.lastRequestId = stored.lastRequestId;
+    for (const auto &[id, session] : state.sessions) {
         SessionShard &shard = sessionShard(id);
         std::lock_guard<std::mutex> lock(shard.sessionsMutex);
-        shard.sessions[id] = std::move(session);
+        shard.sessions[id] = session;
     }
     {
         std::lock_guard<std::mutex> lock(revocationMutex_);
@@ -736,7 +718,7 @@ WebServer::handleLoginRequest(const LoginRequest &request,
 
 ContentPage
 WebServer::makeContentPage(std::uint64_t session_id,
-                           SessionState &session, const std::string &tag,
+                           StoredSession &session, const std::string &tag,
                            std::uint64_t request_id)
 {
     session.currentTag = tag;
@@ -826,7 +808,7 @@ WebServer::handleLoginSubmit(const LoginSubmit &submit)
 
     const std::uint64_t session_id =
         nextSessionId_.fetch_add(1, std::memory_order_relaxed);
-    SessionState session;
+    StoredSession session;
     session.account = submit.account;
     session.sessionKey = *session_key;
     session.lastRequestId = submit.requestId;
@@ -841,7 +823,7 @@ WebServer::handleLoginSubmit(const LoginSubmit &submit)
         SessionShard &shard = sessionShard(session_id);
         std::lock_guard<std::mutex> lock(shard.sessionsMutex);
         if (store_)
-            store_->putSession(session_id, storedSession(session));
+            store_->putSession(session_id, session);
         shard.sessions[session_id] = std::move(session);
     }
     note("login-accepted", submit.account);
@@ -855,7 +837,7 @@ WebServer::handlePageRequest(const PageRequest &request)
         return std::nullopt;
 
     // Phase 1 (shard lock): snapshot the session state.
-    SessionState session;
+    StoredSession session;
     bool found = false;
     {
         SessionShard &shard = sessionShard(request.sessionId);
@@ -943,8 +925,7 @@ WebServer::handlePageRequest(const PageRequest &request)
                                     request.nonce)) {
             it->second = session;
             if (store_)
-                store_->putSession(request.sessionId,
-                                   storedSession(session));
+                store_->putSession(request.sessionId, session);
             committed = true;
         }
     }

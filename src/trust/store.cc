@@ -44,16 +44,9 @@ writeStateBody(core::ByteWriter &w, const StoreState &state)
     w.writeU32(static_cast<std::uint32_t>(state.sessions.size()));
     for (const auto &[id, session] : state.sessions) {
         w.writeU64(id);
-        w.writeString(session.account);
-        w.writeBytes(session.sessionKey);
-        w.writeBytes(session.expectedNonce);
-        w.writeString(session.currentTag);
-        w.writeU64(session.lastRequestId);
+        w.putFields(session);
     }
-    w.writeU32(
-        static_cast<std::uint32_t>(state.revokedSerials.size()));
-    for (const std::uint64_t serial : state.revokedSerials)
-        w.writeU64(serial);
+    w.put(state.revokedSerials);
 }
 
 } // namespace
@@ -344,11 +337,7 @@ TrustStore::putSession(std::uint64_t id, const StoredSession &session)
     std::lock_guard<std::mutex> lock(shard.mutex);
     core::ByteWriter w;
     w.writeU64(id);
-    w.writeString(session.account);
-    w.writeBytes(session.sessionKey);
-    w.writeBytes(session.expectedNonce);
-    w.writeString(session.currentTag);
-    w.writeU64(session.lastRequestId);
+    w.putFields(session);
     appendLocked(shard, RecordType::SessionPut, w.take());
 }
 
@@ -370,9 +359,7 @@ TrustStore::setRevocations(const std::vector<std::uint64_t> &serials)
     Shard &shard = *shards_[0];
     std::lock_guard<std::mutex> lock(shard.mutex);
     core::ByteWriter w;
-    w.writeU32(static_cast<std::uint32_t>(serials.size()));
-    for (const std::uint64_t serial : serials)
-        w.writeU64(serial);
+    w.put(serials);
     appendLocked(shard, RecordType::Revocations, w.take());
 }
 
@@ -414,11 +401,7 @@ TrustStore::applyRecord(StoreState &state, const core::Bytes &payload)
       case RecordType::SessionPut: {
         const std::uint64_t id = r.readU64();
         StoredSession session;
-        session.account = r.readString();
-        session.sessionKey = r.readBytes();
-        session.expectedNonce = r.readBytes();
-        session.currentTag = r.readString();
-        session.lastRequestId = r.readU64();
+        r.getFields(session);
         if (!r.ok() || !r.atEnd())
             return false;
         state.sessions[id] = std::move(session);
@@ -434,13 +417,8 @@ TrustStore::applyRecord(StoreState &state, const core::Bytes &payload)
         return true;
       }
       case RecordType::Revocations: {
-        const std::uint32_t count = r.readU32();
-        if (count > payload.size()) // cheap sanity bound
-            return false;
         std::vector<std::uint64_t> serials;
-        serials.reserve(count);
-        for (std::uint32_t i = 0; i < count && r.ok(); ++i)
-            serials.push_back(r.readU64());
+        r.get(serials);
         if (!r.ok() || !r.atEnd())
             return false;
         state.revokedSerials = std::move(serials);
@@ -499,18 +477,10 @@ TrustStore::parseSnapshot(const core::Bytes &blob, StoreState *state)
     for (std::uint32_t i = 0; i < n_sessions && b.ok(); ++i) {
         const std::uint64_t id = b.readU64();
         StoredSession session;
-        session.account = b.readString();
-        session.sessionKey = b.readBytes();
-        session.expectedNonce = b.readBytes();
-        session.currentTag = b.readString();
-        session.lastRequestId = b.readU64();
+        b.getFields(session);
         out.sessions[id] = std::move(session);
     }
-    const std::uint32_t n_revoked = b.readU32();
-    if (!b.ok() || n_revoked > payload.size())
-        return false;
-    for (std::uint32_t i = 0; i < n_revoked && b.ok(); ++i)
-        out.revokedSerials.push_back(b.readU64());
+    b.get(out.revokedSerials);
     if (!b.ok() || !b.atEnd())
         return false;
     *state = std::move(out);
@@ -672,14 +642,9 @@ TrustStore::stateDigest() const
         }
         if (best == shards_.size())
             break;
-        const StoredSession &session = ses_it[best]->second;
         core::ByteWriter w;
         w.writeU64(ses_it[best]->first);
-        w.writeString(session.account);
-        w.writeBytes(session.sessionKey);
-        w.writeBytes(session.expectedNonce);
-        w.writeString(session.currentTag);
-        w.writeU64(session.lastRequestId);
+        w.putFields(ses_it[best]->second);
         hash.update(w.take());
         ++ses_it[best];
     }
@@ -688,11 +653,7 @@ TrustStore::stateDigest() const
         // Revocations route to shard 0 by construction; the merged
         // view is that shard's list.
         core::ByteWriter w;
-        const std::vector<std::uint64_t> &revoked =
-            shards_[0]->state.revokedSerials;
-        w.writeU32(static_cast<std::uint32_t>(revoked.size()));
-        for (const std::uint64_t serial : revoked)
-            w.writeU64(serial);
+        w.put(shards_[0]->state.revokedSerials);
         hash.update(w.take());
     }
     return core::hexEncode(hash.finish());

@@ -107,14 +107,28 @@ struct StorePolicy
     double compactionFactor = 2.0;
 };
 
-/** One persisted session row (mirror of WebServer::SessionState). */
+/** One session row: WebServer's live session state and its
+ *  persisted form (WAL SessionPut record, snapshot, stateDigest). */
 struct StoredSession
 {
     std::string account;
     core::Bytes sessionKey;    // trustlint: secret
     core::Bytes expectedNonce; // trustlint: secret
-    std::string currentTag;
+    std::string currentTag; ///< Tag of the page last served.
+    /**
+     * Highest request id accepted in this session. Ids are
+     * device-monotonic, so after MAC verification anything at or
+     * below this is a duplicate (late retransmission) and is
+     * rejected rather than re-served with a fresh nonce.
+     */
     std::uint64_t lastRequestId = 0;
+
+    /** The persisted row layout, in order (after the session id). */
+    static void fields(auto &s, auto &&f)
+    {
+        f(s.account, s.sessionKey, s.expectedNonce, s.currentTag,
+          s.lastRequestId);
+    }
 };
 
 /** The replayed materialized state (one shard's partition, or the

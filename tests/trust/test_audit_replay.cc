@@ -104,6 +104,9 @@ goldenPath()
 
 TEST(AuditReplay, GoldenByteIdenticalAcrossThreadCounts)
 {
+#if !TRUST_OBS_ENABLED
+    GTEST_SKIP() << "observability compiled out";
+#endif
     trust::core::setParallelThreads(1);
     const std::string log1 = runScenario().audit;
     trust::core::setParallelThreads(4);
@@ -143,6 +146,9 @@ TEST(AuditReplay, GoldenByteIdenticalAcrossThreadCounts)
 
 TEST(AuditReplay, AuditLogRoundTripsAndSurvivesFuzz)
 {
+#if !TRUST_OBS_ENABLED
+    GTEST_SKIP() << "observability compiled out";
+#endif
     const std::string text = runScenario().audit;
     ASSERT_FALSE(text.empty());
 
@@ -194,6 +200,9 @@ TEST(AuditReplay, AuditLogRoundTripsAndSurvivesFuzz)
 
 TEST(AuditReplay, TraceExportNestsPipelineSpans)
 {
+#if !TRUST_OBS_ENABLED
+    GTEST_SKIP() << "observability compiled out";
+#endif
     const std::string trace = runScenario().trace;
     const auto events = obs::parseChromeTrace(trace);
     ASSERT_TRUE(events.has_value());

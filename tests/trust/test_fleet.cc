@@ -70,6 +70,9 @@ goldenPath()
 
 TEST(Fleet, GoldenByteIdenticalAcrossThreadCounts)
 {
+#if !TRUST_OBS_ENABLED
+    GTEST_SKIP() << "observability compiled out";
+#endif
     const std::string log1 = runFleetAudit(1);
     const std::string log4 = runFleetAudit(4);
     const std::string log16 = runFleetAudit(16);

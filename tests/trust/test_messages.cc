@@ -17,6 +17,10 @@ TEST(Messages, PeekKind)
     EXPECT_FALSE(peekKind({}).has_value());
     EXPECT_FALSE(peekKind({0}).has_value());
     EXPECT_FALSE(peekKind({99}).has_value());
+    const auto last = static_cast<std::uint8_t>(kLastMsgKind);
+    EXPECT_EQ(peekKind({last}), kLastMsgKind);
+    EXPECT_FALSE(
+        peekKind({static_cast<std::uint8_t>(last + 1)}).has_value());
 }
 
 TEST(Messages, RegistrationRequestRoundTrip)
@@ -325,51 +329,92 @@ allMessageWires()
     ServerBusy sb{11, "www.x.com", trust::core::milliseconds(750)};
     wires.push_back(sb.serialize());
 
+    CrlMessage crl;
+    crl.requestId = 12;
+    crl.issuer = "TrustRootCA";
+    crl.crlSeq = 3;
+    crl.revokedSerials = {101, 202, 303};
+    crl.signature = Bytes(64, 22);
+    wires.push_back(crl.serialize());
+
+    CrlAck ack{13, "www.x.com", 3, 3};
+    wires.push_back(ack.serialize());
+
+    ResetRequest reset;
+    reset.requestId = 14;
+    reset.domain = "www.x.com";
+    reset.account = "alice";
+    reset.authSeq = 5;
+    reset.signature = Bytes(64, 23);
+    wires.push_back(reset.serialize());
+
     return wires;
+}
+
+/** Decode @p wire with the decoder of @p kind; true if it accepts. */
+bool
+decodesAs(MsgKind kind, const Bytes &wire)
+{
+    switch (kind) {
+      case MsgKind::RegistrationRequest:
+        return RegistrationRequest::deserialize(wire).has_value();
+      case MsgKind::RegistrationPage:
+        return RegistrationPage::deserialize(wire).has_value();
+      case MsgKind::RegistrationSubmit:
+        return RegistrationSubmit::deserialize(wire).has_value();
+      case MsgKind::RegistrationResult:
+        return RegistrationResult::deserialize(wire).has_value();
+      case MsgKind::LoginRequest:
+        return LoginRequest::deserialize(wire).has_value();
+      case MsgKind::LoginPage:
+        return LoginPage::deserialize(wire).has_value();
+      case MsgKind::LoginSubmit:
+        return LoginSubmit::deserialize(wire).has_value();
+      case MsgKind::ContentPage:
+        return ContentPage::deserialize(wire).has_value();
+      case MsgKind::PageRequest:
+        return PageRequest::deserialize(wire).has_value();
+      case MsgKind::ErrorReply:
+        return ErrorReply::deserialize(wire).has_value();
+      case MsgKind::ServerBusy:
+        return ServerBusy::deserialize(wire).has_value();
+      case MsgKind::CrlMessage:
+        return CrlMessage::deserialize(wire).has_value();
+      case MsgKind::CrlAck:
+        return CrlAck::deserialize(wire).has_value();
+      case MsgKind::ResetRequest:
+        return ResetRequest::deserialize(wire).has_value();
+    }
+    return false;
 }
 
 /** Try every typed decoder; none may crash. */
 void
 decodeAll(const Bytes &wire)
 {
-    (void)RegistrationRequest::deserialize(wire);
-    (void)RegistrationPage::deserialize(wire);
-    (void)RegistrationSubmit::deserialize(wire);
-    (void)RegistrationResult::deserialize(wire);
-    (void)LoginRequest::deserialize(wire);
-    (void)LoginPage::deserialize(wire);
-    (void)LoginSubmit::deserialize(wire);
-    (void)ContentPage::deserialize(wire);
-    (void)PageRequest::deserialize(wire);
-    (void)ErrorReply::deserialize(wire);
-    (void)ServerBusy::deserialize(wire);
+    for (int k = 1; k <= static_cast<int>(kLastMsgKind); ++k)
+        (void)decodesAs(static_cast<MsgKind>(k), wire);
 }
 
 TEST(MessagesHardening, EveryTypeSurvivesEveryTruncation)
 {
-    for (const Bytes &wire : allMessageWires()) {
+    const std::vector<Bytes> wires = allMessageWires();
+    ASSERT_EQ(wires.size(), static_cast<std::size_t>(kLastMsgKind));
+    for (const Bytes &wire : wires) {
+        const auto kind = peekKind(wire);
+        ASSERT_TRUE(kind.has_value());
         // Each message round-trips whole...
         decodeAll(wire);
-        // ...and every strict prefix is rejected without a panic.
+        EXPECT_TRUE(decodesAs(*kind, wire))
+            << "kind " << static_cast<int>(*kind);
+        // ...and every strict prefix is rejected by its own decoder.
         for (std::size_t cut = 0; cut < wire.size(); ++cut) {
             const Bytes truncated(
                 wire.begin(),
                 wire.begin() + static_cast<long>(cut));
             decodeAll(truncated);
-            const auto kind = peekKind(wire);
-            ASSERT_TRUE(kind.has_value());
-            switch (*kind) {
-              case MsgKind::PageRequest:
-                EXPECT_FALSE(
-                    PageRequest::deserialize(truncated).has_value());
-                break;
-              case MsgKind::ContentPage:
-                EXPECT_FALSE(
-                    ContentPage::deserialize(truncated).has_value());
-                break;
-              default:
-                break;
-            }
+            EXPECT_FALSE(decodesAs(*kind, truncated))
+                << "kind " << static_cast<int>(*kind) << " cut=" << cut;
         }
     }
 }

@@ -551,6 +551,9 @@ recoveryGoldenPath()
 
 TEST(Recovery, FleetGoldenByteIdenticalAcrossThreadCounts)
 {
+#if !TRUST_OBS_ENABLED
+    GTEST_SKIP() << "observability compiled out";
+#endif
     const std::string log1 = runRecoveryFleetAudit(1);
     const std::string log4 = runRecoveryFleetAudit(4);
     const std::string log16 = runRecoveryFleetAudit(16);

@@ -131,6 +131,9 @@ stormGoldenPath()
 
 TEST(Storm, GoldenByteIdenticalAcrossThreadCounts)
 {
+#if !TRUST_OBS_ENABLED
+    GTEST_SKIP() << "observability compiled out";
+#endif
     const std::string log1 = runStormAudit(1, false);
     const std::string log4 = runStormAudit(4, false);
     const std::string log16 = runStormAudit(16, false);
