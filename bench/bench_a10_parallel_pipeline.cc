@@ -1,29 +1,34 @@
 /**
  * @file
- * Ablation **A10**: parallel execution layer on the capture->match
- * hot path.
+ * Ablations **A10** and **A13**: the capture->match hot path
+ * (captureImpression -> extractTemplate -> match against every
+ * enrolled view) over one pre-generated workload. Both sweeps check
+ * that match decisions and scores stay bitwise identical across
+ * their configurations.
  *
- * Sweeps the thread-pool size over {1, 2, 4, 8} and runs the full
- * image-domain pipeline (captureImpression -> extractTemplate ->
- * batch match against every enrolled view) on an identical,
- * pre-generated workload at each thread count. Reports ops/sec and
- * p50/p95 per-op latency, verifies the determinism contract (match
- * decisions and scores must be bitwise identical at every thread
- * count), and writes the results to BENCH_parallel.json.
+ * A10 sweeps the thread-pool size over {1, 2, 4, 8} and writes
+ * BENCH_parallel.json. Expected shape: near-linear speedup up to the
+ * physical core count (row-band convolution plus per-template batch
+ * matching dominate), flat or slightly degraded beyond it. On a
+ * single-core host every setting runs the serial path and the
+ * determinism check is the load-bearing result.
  *
- * Expected shape: near-linear speedup up to the physical core count
- * (row-band convolution plus per-template batch matching dominate),
- * flat or slightly degraded beyond it. On a single-core host the
- * sweep degenerates to the serial path at every setting — the
- * determinism check is then the load-bearing result.
+ * A13 runs single-threaded under backend {scalar, vector}
+ * (core::simd::setForceScalar) x matching {per-view, batched}
+ * (matchTemplate loop vs matchTemplatesBatch), so vectorization and
+ * the shared-query-pair batching show separately, adds a per-stage
+ * breakdown under both backends, and writes BENCH_simd.json. The
+ * scalar-forced backend still runs the SoA kernels (ScalarPack
+ * emulates the 4-lane packs), so the backend axis isolates only the
+ * vector-issue width; the SIMD restructure's >=5x is measured
+ * against the pre-restructure seed on the A10 trajectory. On a host
+ * whose compiled backend is scalar the two backends coincide.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "bench_obs_util.hh"
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -32,13 +37,20 @@
 #include "core/csv.hh"
 #include "core/parallel.hh"
 #include "core/rng.hh"
+#include "core/simd/simd.hh"
 #include "fingerprint/capture.hh"
 #include "fingerprint/enhance.hh"
+#include "fingerprint/matcher.hh"
+#include "fingerprint/minutiae.hh"
 #include "fingerprint/pipeline.hh"
+#include "fingerprint/quality.hh"
+#include "fingerprint/skeleton.hh"
 #include "fingerprint/synthesis.hh"
 
 namespace core = trust::core;
 namespace fp = trust::fingerprint;
+namespace simd = trust::core::simd;
+using trust::benchutil::LatencySummary;
 
 namespace {
 
@@ -47,6 +59,7 @@ constexpr int kOpsPerConfig = 32;
 constexpr int kWarmupOps = 3;
 constexpr int kEnrollFingers = 4;
 constexpr int kViewsPerFinger = 3;
+constexpr int kStageReps = 4;
 
 /** One timed operation's observable outcome (for determinism). */
 struct OpOutcome
@@ -57,17 +70,6 @@ struct OpOutcome
     std::vector<double> scores;   ///< Per enrolled view.
 
     bool operator==(const OpOutcome &o) const = default;
-};
-
-/** Latency/throughput stats for one thread-count configuration. */
-struct ConfigStats
-{
-    int threads = 0;
-    double opsPerSec = 0.0;
-    double p50Ms = 0.0;
-    double p95Ms = 0.0;
-    double meanMs = 0.0;
-    std::vector<OpOutcome> outcomes;
 };
 
 /** The fixed workload: enrolled views plus pre-captured queries. */
@@ -110,7 +112,7 @@ buildWorkload()
     }
 
     // Queries: a genuine/impostor mix under natural tap conditions,
-    // captured once so every thread count sees identical inputs.
+    // captured once so every configuration sees identical inputs.
     const auto stranger = fp::synthesizeFinger(999, rng);
     for (int i = 0; i < kOpsPerConfig; ++i) {
         const auto &finger =
@@ -121,9 +123,9 @@ buildWorkload()
     return w;
 }
 
-/** Run one op: extract a template and batch-match it. */
+/** Run one op: extract, then score against every enrolled view. */
 OpOutcome
-runOp(const Workload &w, const fp::FingerprintImage &query)
+runOp(const Workload &w, const fp::FingerprintImage &query, bool batched)
 {
     OpOutcome out;
     const auto tpl = fp::extractTemplate(query);
@@ -131,120 +133,118 @@ runOp(const Workload &w, const fp::FingerprintImage &query)
         return out;
     out.extracted = true;
     out.minutiae = tpl->minutiae.size();
-    const auto results = fp::matchTemplatesBatch(w.views, tpl->minutiae);
-    out.accepted.reserve(results.size());
-    out.scores.reserve(results.size());
-    for (const auto &r : results) {
-        out.accepted.push_back(r.accepted ? 1 : 0);
-        out.scores.push_back(r.score);
+    out.accepted.reserve(w.views.size());
+    out.scores.reserve(w.views.size());
+    if (batched) {
+        const auto results =
+            fp::matchTemplatesBatch(w.views, tpl->minutiae);
+        for (const auto &r : results) {
+            out.accepted.push_back(r.accepted ? 1 : 0);
+            out.scores.push_back(r.score);
+        }
+    } else {
+        for (const auto &view : w.views) {
+            const auto r = fp::matchTemplate(view, tpl->minutiae);
+            out.accepted.push_back(r.accepted ? 1 : 0);
+            out.scores.push_back(r.score);
+        }
     }
     return out;
 }
 
-ConfigStats
-sweepConfig(const Workload &w, int threads)
+/** One timed pass over the queries, after a few warm-up ops. */
+struct TimedRun
 {
-    ConfigStats stats;
-    stats.threads = threads;
-    trust::core::setParallelThreads(threads);
+    std::string label; ///< Table/JSON identity of the configuration.
+    LatencySummary latency;
+    std::vector<OpOutcome> outcomes;
+};
 
+TimedRun
+timeQueries(const Workload &w, bool batched)
+{
     for (int i = 0; i < kWarmupOps; ++i)
-        (void)runOp(w, w.queries[i % w.queries.size()]);
+        (void)runOp(w, w.queries[static_cast<std::size_t>(i) %
+                                 w.queries.size()],
+                    batched);
 
+    TimedRun run;
     std::vector<double> latencies;
     latencies.reserve(w.queries.size());
-    const auto sweep0 = std::chrono::steady_clock::now();
+    const trust::benchutil::Stopwatch total;
     for (const auto &query : w.queries) {
-        const auto t0 = std::chrono::steady_clock::now();
-        stats.outcomes.push_back(runOp(w, query));
-        latencies.push_back(
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - t0)
-                .count());
+        const trust::benchutil::Stopwatch op;
+        run.outcomes.push_back(runOp(w, query, batched));
+        latencies.push_back(op.ms());
     }
-    const double total = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - sweep0)
-                             .count();
-
-    stats.opsPerSec =
-        total > 0.0 ? static_cast<double>(latencies.size()) / total : 0.0;
-    for (const double l : latencies)
-        stats.meanMs += l;
-    stats.meanMs /= static_cast<double>(latencies.size());
-    std::sort(latencies.begin(), latencies.end());
-    stats.p50Ms = trust::benchutil::percentile(latencies, 0.50);
-    stats.p95Ms = trust::benchutil::percentile(latencies, 0.95);
-    return stats;
+    run.latency = trust::benchutil::summarizeLatencies(
+        std::move(latencies), total.seconds());
+    return run;
 }
 
-void
-writeJson(const std::vector<ConfigStats> &sweep, bool identical,
-          double speedup4)
+bool
+sameOutcomes(const std::vector<TimedRun> &runs)
 {
-    trust::benchutil::writeBenchJson(
-        "BENCH_parallel.json", "a10_parallel_pipeline",
-        [&](core::obs::JsonWriter &w) {
-            w.kv("hardware_threads",
-                 static_cast<std::uint64_t>(
-                     std::thread::hardware_concurrency()));
-            w.kv("ops_per_config", kOpsPerConfig);
-            w.kv("enrolled_views", kEnrollFingers * kViewsPerFinger);
-            w.kv("identical_decisions", identical);
-            w.kv("speedup_4t_vs_1t", speedup4);
-            w.key("results");
-            w.beginArray();
-            for (const auto &s : sweep) {
-                w.beginObject();
-                w.kv("threads", s.threads);
-                w.kv("ops_per_sec", s.opsPerSec);
-                w.kv("p50_ms", s.p50Ms);
-                w.kv("p95_ms", s.p95Ms);
-                w.kv("mean_ms", s.meanMs);
-                w.endObject();
-            }
-            w.endArray();
-        });
+    for (const auto &r : runs)
+        if (r.outcomes != runs.front().outcomes)
+            return false;
+    return true;
+}
+
+/** ops/sec, p50, p95, mean and speedup over @p base ops/sec. */
+std::vector<std::string>
+latencyCells(const LatencySummary &l, double base)
+{
+    return {core::Table::num(l.opsPerSec, 2),
+            core::Table::num(l.p50Ms, 2) + " ms",
+            core::Table::num(l.p95Ms, 2) + " ms",
+            core::Table::num(l.meanMs, 2) + " ms",
+            core::Table::num(l.opsPerSec / base, 2) + "x"};
 }
 
 void
-runSweep()
+writeLatency(core::obs::JsonWriter &w, const LatencySummary &l)
+{
+    w.kv("ops_per_sec", l.opsPerSec);
+    w.kv("p50_ms", l.p50Ms);
+    w.kv("p95_ms", l.p95Ms);
+    w.kv("mean_ms", l.meanMs);
+}
+
+// ------------------------------------------------------------------ //
+// A10: thread sweep                                                   //
+// ------------------------------------------------------------------ //
+
+void
+runThreadSweep(const Workload &w)
 {
     std::printf("=== A10: thread sweep over the capture->match "
                 "pipeline ===\n");
     std::printf("hardware threads available: %u\n\n",
                 std::thread::hardware_concurrency());
-
-    fp::clearGaborKernelCache();
-    const Workload w = buildWorkload();
     std::printf("workload: %zu enrolled views, %zu pre-captured "
                 "queries (96x96)\n",
                 w.views.size(), w.queries.size());
 
-    std::vector<ConfigStats> sweep;
-    for (const int threads : kThreadSweep)
-        sweep.push_back(sweepConfig(w, threads));
-    trust::core::setParallelThreads(0); // back to auto
+    std::vector<TimedRun> sweep;
+    for (const int threads : kThreadSweep) {
+        core::setParallelThreads(threads);
+        sweep.push_back(timeQueries(w, /*batched=*/true));
+        sweep.back().label = std::to_string(threads);
+    }
+    core::setParallelThreads(0); // back to auto
 
-    bool identical = true;
-    for (const auto &s : sweep)
-        identical = identical && s.outcomes == sweep.front().outcomes;
-
-    const double speedup4 = sweep[0].opsPerSec > 0.0
-                                ? sweep[2].opsPerSec / sweep[0].opsPerSec
-                                : 0.0;
+    const bool identical = sameOutcomes(sweep);
+    const double base = sweep.front().latency.opsPerSec;
+    const double speedup4 =
+        base > 0.0 ? sweep[2].latency.opsPerSec / base : 0.0;
 
     core::Table table(
         {"threads", "ops/sec", "p50", "p95", "mean", "speedup"});
     for (const auto &s : sweep) {
-        table.addRow({std::to_string(s.threads),
-                      core::Table::num(s.opsPerSec, 2),
-                      core::Table::num(s.p50Ms, 2) + " ms",
-                      core::Table::num(s.p95Ms, 2) + " ms",
-                      core::Table::num(s.meanMs, 2) + " ms",
-                      core::Table::num(s.opsPerSec /
-                                           sweep.front().opsPerSec,
-                                       2) +
-                          "x"});
+        auto row = latencyCells(s.latency, base);
+        row.insert(row.begin(), s.label);
+        table.addRow(row);
     }
     table.print();
 
@@ -263,34 +263,269 @@ runSweep()
                     "gain is physically possible here)\n",
                     speedup4);
     }
-    writeJson(sweep, identical, speedup4);
+
+    trust::benchutil::writeBenchJson(
+        "BENCH_parallel.json", "a10_parallel_pipeline",
+        [&](core::obs::JsonWriter &j) {
+            j.kv("hardware_threads",
+                 static_cast<std::uint64_t>(
+                     std::thread::hardware_concurrency()));
+            j.kv("ops_per_config", kOpsPerConfig);
+            j.kv("enrolled_views", kEnrollFingers * kViewsPerFinger);
+            j.kv("identical_decisions", identical);
+            j.kv("speedup_4t_vs_1t", speedup4);
+            j.key("results");
+            j.beginArray();
+            for (std::size_t i = 0; i < sweep.size(); ++i) {
+                j.beginObject();
+                j.kv("threads", kThreadSweep[i]);
+                writeLatency(j, sweep[i].latency);
+                j.endObject();
+            }
+            j.endArray();
+        });
+}
+
+// ------------------------------------------------------------------ //
+// A13: backend x batching sweep and stage breakdown                   //
+// ------------------------------------------------------------------ //
+
+/** Per-stage mean latency (ms/op) under one backend. */
+struct StageBreakdown
+{
+    std::string backend;
+    std::vector<std::pair<std::string, double>> stages;
+    double totalMs = 0.0;
+};
+
+const char *
+backendName(bool forceScalar)
+{
+    return forceScalar ? "scalar" : simd::compiledBackendName();
+}
+
+/**
+ * Per-stage breakdown: the extraction pipeline unrolled into its
+ * public stages, each timed as one stopwatch lap.
+ */
+StageBreakdown
+runStages(const Workload &w, bool forceScalar)
+{
+    StageBreakdown b;
+    b.backend = backendName(forceScalar);
+    simd::setForceScalar(forceScalar);
+
+    double tQuality = 0, tNorm = 0, tOrient = 0, tPeriod = 0;
+    double tGabor = 0, tBin = 0, tThin = 0, tMinutiae = 0;
+    double tPairs = 0, tMatch = 0;
+
+    for (int rep = 0; rep < kStageReps; ++rep) {
+        for (const auto &cap : w.queries) {
+            trust::benchutil::Stopwatch lap;
+            const auto q = fp::assessQuality(cap, {});
+            tQuality += lap.lapMs();
+            if (q.score < 0.45)
+                continue;
+            fp::FingerprintImage work = cap;
+            fp::normalizeImage(work);
+            tNorm += lap.lapMs();
+            const auto orient = fp::estimateOrientation(work);
+            tOrient += lap.lapMs();
+            double period = fp::estimateRidgePeriod(work, orient);
+            if (period < 3 || period > 25)
+                period = 9.0;
+            tPeriod += lap.lapMs();
+            fp::gaborEnhance(work, orient, 1.0 / period, 6, 3.0);
+            tGabor += lap.lapMs();
+            const auto bin = fp::binarize(work);
+            tBin += lap.lapMs();
+            const auto skel = fp::thin(bin);
+            tThin += lap.lapMs();
+            const auto minu =
+                fp::extractMinutiae(skel, work.mask(), orient, {});
+            tMinutiae += lap.lapMs();
+            const auto qp = fp::buildQueryPairs(minu, {});
+            tPairs += lap.lapMs();
+            for (const auto &v : w.views)
+                (void)fp::matchMinutiae(v.minutiae, *v.pairIndex(),
+                                        minu, qp, {});
+            tMatch += lap.lapMs();
+        }
+    }
+    simd::setForceScalar(false);
+
+    const double n =
+        static_cast<double>(kStageReps) * static_cast<double>(
+                                              w.queries.size());
+    b.stages = {{"quality", tQuality / n},   {"normalize", tNorm / n},
+                {"orientation", tOrient / n}, {"period", tPeriod / n},
+                {"gabor", tGabor / n},        {"binarize", tBin / n},
+                {"thin", tThin / n},          {"minutiae", tMinutiae / n},
+                {"query-pairs", tPairs / n},  {"match", tMatch / n}};
+    for (const auto &[name, v] : b.stages)
+        b.totalMs += v;
+    return b;
+}
+
+void
+runSimdSweep(const Workload &w)
+{
+    std::printf("=== A13: SIMD + batched scoring on the fingerprint "
+                "hot path ===\n");
+    std::printf("compiled backend: %s, active backend: %s\n\n",
+                simd::compiledBackendName(), simd::activeBackendName());
+
+    core::setParallelThreads(1); // isolate kernels from the pool
+    std::printf("workload: %zu enrolled views, %zu pre-captured "
+                "queries (96x96), single-threaded\n\n",
+                w.views.size(), w.queries.size());
+
+    // (backend, matching) in table order: scalar-forced first, so
+    // the speedup column is relative to scalar per-view.
+    struct Mode
+    {
+        bool forceScalar;
+        bool batched;
+    };
+    constexpr Mode kModes[] = {
+        {true, false}, {true, true}, {false, false}, {false, true}};
+    std::vector<TimedRun> modes;
+    for (const Mode m : kModes) {
+        simd::setForceScalar(m.forceScalar);
+        modes.push_back(timeQueries(w, m.batched));
+        simd::setForceScalar(false);
+        modes.back().label = backendName(m.forceScalar);
+    }
+
+    const bool identical = sameOutcomes(modes);
+    const double base = modes.front().latency.opsPerSec;
+    const double speedup =
+        base > 0.0 ? modes.back().latency.opsPerSec / base : 0.0;
+    const auto matching = [&](std::size_t i) {
+        return kModes[i].batched ? "batched" : "per-view";
+    };
+
+    core::Table table({"backend", "matching", "ops/sec", "p50", "p95",
+                       "mean", "speedup"});
+    for (std::size_t i = 0; i < modes.size(); ++i) {
+        auto row = latencyCells(modes[i].latency, base);
+        row.insert(row.begin(), {modes[i].label, matching(i)});
+        table.addRow(row);
+    }
+    table.print();
+
+    std::printf("\nmatch decisions/scores identical across all four "
+                "modes: %s\n",
+                identical ? "yes" : "NO (bit-identity violation)");
+    std::printf("speedup, SIMD batched vs scalar-forced per-view: "
+                "%.2fx (backend + batching only; both backends share "
+                "the SoA kernels -- the >=5x PR target is vs the "
+                "pre-restructure seed, see bench_a10)\n\n",
+                speedup);
+
+    std::vector<StageBreakdown> stages;
+    stages.push_back(runStages(w, /*forceScalar=*/true));
+    stages.push_back(runStages(w, false));
+
+    core::Table stageTable({"stage", stages[0].backend + " ms",
+                            stages[1].backend + " ms", "speedup"});
+    const auto stageRow = [&](const std::string &name, double scalarMs,
+                              double vecMs) {
+        stageTable.addRow(
+            {name, core::Table::num(scalarMs, 3),
+             core::Table::num(vecMs, 3),
+             core::Table::num(vecMs > 0.0 ? scalarMs / vecMs : 0.0, 2) +
+                 "x"});
+    };
+    for (std::size_t i = 0; i < stages[0].stages.size(); ++i)
+        stageRow(stages[0].stages[i].first, stages[0].stages[i].second,
+                 stages[1].stages[i].second);
+    stageRow("total", stages[0].totalMs, stages[1].totalMs);
+    stageTable.print();
+
+    core::setParallelThreads(0); // back to auto
+    trust::benchutil::writeBenchJson(
+        "BENCH_simd.json", "a13_simd", [&](core::obs::JsonWriter &j) {
+            j.kv("compiled_backend", simd::compiledBackendName());
+            j.kv("active_backend", simd::activeBackendName());
+            j.kv("ops_per_config", kOpsPerConfig);
+            j.kv("enrolled_views", kEnrollFingers * kViewsPerFinger);
+            j.kv("identical_decisions", identical);
+            j.kv("speedup_simd_batched_vs_scalar_perview", speedup);
+            j.key("modes");
+            j.beginArray();
+            for (std::size_t i = 0; i < modes.size(); ++i) {
+                j.beginObject();
+                j.kv("backend", modes[i].label);
+                j.kv("matching", matching(i));
+                writeLatency(j, modes[i].latency);
+                j.endObject();
+            }
+            j.endArray();
+            j.key("stage_breakdown");
+            j.beginArray();
+            for (const auto &b : stages) {
+                j.beginObject();
+                j.kv("backend", b.backend);
+                j.kv("total_ms", b.totalMs);
+                for (const auto &[name, v] : b.stages)
+                    j.kv(name.c_str(), v);
+                j.endObject();
+            }
+            j.endArray();
+        });
+}
+
+const Workload &
+sharedWorkload()
+{
+    static const Workload w = buildWorkload();
+    return w;
 }
 
 void
 BM_PipelineOp(benchmark::State &state)
 {
-    static const Workload w = buildWorkload();
-    trust::core::setParallelThreads(static_cast<int>(state.range(0)));
+    const Workload &w = sharedWorkload();
+    core::setParallelThreads(static_cast<int>(state.range(0)));
     std::size_t i = 0;
     for (auto _ : state) {
-        auto out = runOp(w, w.queries[i++ % w.queries.size()]);
+        auto out = runOp(w, w.queries[i++ % w.queries.size()],
+                         /*batched=*/true);
         benchmark::DoNotOptimize(out);
     }
-    trust::core::setParallelThreads(0);
+    core::setParallelThreads(0);
 }
 BENCHMARK(BM_PipelineOp)->Arg(1)->Arg(2)->Arg(4)->Unit(
     benchmark::kMillisecond);
+
+void
+BM_SimdOp(benchmark::State &state)
+{
+    const Workload &w = sharedWorkload();
+    simd::setForceScalar(state.range(0) == 0);
+    core::setParallelThreads(1);
+    std::size_t i = 0;
+    for (auto _ : state) {
+        auto out =
+            runOp(w, w.queries[i++ % w.queries.size()], /*batched=*/true);
+        benchmark::DoNotOptimize(out);
+    }
+    simd::setForceScalar(false);
+    core::setParallelThreads(0);
+}
+BENCHMARK(BM_SimdOp)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    const auto obs_opts = trust::benchutil::parseObsFlags(argc, argv);
-    runSweep();
-    std::printf("\n");
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    trust::benchutil::writeObsOutputs(obs_opts);
-    return 0;
+    return trust::benchutil::run(argc, argv, [] {
+        fp::clearGaborKernelCache();
+        const Workload &w = sharedWorkload();
+        runThreadSweep(w);
+        std::printf("\n");
+        runSimdSweep(w);
+    });
 }

@@ -182,34 +182,6 @@ runSession(std::uint64_t seed, double loss, core::Tick partition,
 }
 
 void
-writeJson(const std::vector<ChaosStats> &sweep)
-{
-    trust::benchutil::writeBenchJson(
-        "BENCH_chaos.json", "a11_chaos",
-        [&](core::obs::JsonWriter &w) {
-            w.kv("sessions_per_config", kSessionsPerConfig);
-            w.kv("browsing_touches", kBrowsingTouches);
-            w.key("results");
-            w.beginArray();
-            for (const auto &s : sweep) {
-                w.beginObject();
-                w.kv("loss", s.lossRate, 2);
-                w.kv("partition_s",
-                     core::toMilliseconds(s.partition) / 1000.0, 1);
-                w.kv("completion_rate", s.completionRate());
-                w.kv("auth_coverage", s.authCoverage);
-                w.kv("retransmission_overhead", s.retransOverhead, 4);
-                w.kv("retransmits", s.retransmits);
-                w.kv("dedup_hits", s.dedupHits);
-                w.kv("messages_dropped", s.messagesDropped);
-                w.kv("resumes", s.resumes);
-                w.endObject();
-            }
-            w.endArray();
-        });
-}
-
-void
 runSweep()
 {
     std::printf("=== A11: chaos sweep (loss x partition) over "
@@ -251,7 +223,29 @@ runSweep()
         all_complete = all_complete && s.completed == s.sessions;
     std::printf("\nall sessions completed under every fault mix: %s\n",
                 all_complete ? "yes" : "NO");
-    writeJson(sweep);
+    trust::benchutil::writeBenchJson(
+        "BENCH_chaos.json", "a11_chaos",
+        [&](core::obs::JsonWriter &w) {
+            w.kv("sessions_per_config", kSessionsPerConfig);
+            w.kv("browsing_touches", kBrowsingTouches);
+            w.key("results");
+            w.beginArray();
+            for (const auto &s : sweep) {
+                w.beginObject();
+                w.kv("loss", s.lossRate, 2);
+                w.kv("partition_s",
+                     core::toMilliseconds(s.partition) / 1000.0, 1);
+                w.kv("completion_rate", s.completionRate());
+                w.kv("auth_coverage", s.authCoverage);
+                w.kv("retransmission_overhead", s.retransOverhead, 4);
+                w.kv("retransmits", s.retransmits);
+                w.kv("dedup_hits", s.dedupHits);
+                w.kv("messages_dropped", s.messagesDropped);
+                w.kv("resumes", s.resumes);
+                w.endObject();
+            }
+            w.endArray();
+        });
 }
 
 void
@@ -274,11 +268,5 @@ BENCHMARK(BM_ChaosSession)->Arg(0)->Arg(10)->Arg(30)->Unit(
 int
 main(int argc, char **argv)
 {
-    const auto obs_opts = trust::benchutil::parseObsFlags(argc, argv);
-    runSweep();
-    std::printf("\n");
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    trust::benchutil::writeObsOutputs(obs_opts);
-    return 0;
+    return trust::benchutil::run(argc, argv, runSweep);
 }

@@ -27,11 +27,8 @@
 #include "bench_obs_util.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -72,9 +69,7 @@ struct ConfigStats
 {
     int threads = 0;
     double wallSec = 0.0;
-    double requestsPerSec = 0.0;
-    double p50Ms = 0.0;
-    double p99Ms = 0.0;
+    trust::benchutil::LatencySummary latency; ///< Per dispatch.
     std::uint64_t dispatches = 0;
     int sessionsOk = 0;
     std::vector<ChannelDecision> decisions;
@@ -87,7 +82,7 @@ struct ConfigStats
  */
 struct LatencyCollector
 {
-    std::vector<std::chrono::steady_clock::time_point> starts;
+    std::vector<trust::benchutil::Stopwatch> starts;
     std::vector<std::vector<double>> perChannelMs;
 
     explicit LatencyCollector(int channels)
@@ -101,15 +96,11 @@ struct LatencyCollector
     {
         proto::FleetHooks h;
         h.beforeDispatch = [this](int channel) {
-            starts[static_cast<std::size_t>(channel)] =
-                std::chrono::steady_clock::now();
+            starts[static_cast<std::size_t>(channel)].restart();
         };
         h.afterDispatch = [this](int channel) {
             const auto i = static_cast<std::size_t>(channel);
-            perChannelMs[i].push_back(
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - starts[i])
-                    .count());
+            perChannelMs[i].push_back(starts[i].ms());
         };
         return h;
     }
@@ -120,7 +111,6 @@ struct LatencyCollector
         std::vector<double> all;
         for (const auto &channel : perChannelMs)
             all.insert(all.end(), channel.begin(), channel.end());
-        std::sort(all.begin(), all.end());
         return all;
     }
 };
@@ -141,21 +131,14 @@ sweepConfig(const FleetFlags &flags, int threads)
     LatencyCollector latencies(flags.devices);
     proto::Fleet fleet(config, latencies.hooks());
 
-    const auto t0 = std::chrono::steady_clock::now();
+    const trust::benchutil::Stopwatch sw;
     const proto::FleetResult result = fleet.run();
-    stats.wallSec = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
+    stats.wallSec = sw.seconds();
 
     stats.dispatches = result.dispatches;
     stats.sessionsOk = result.sessionsOk;
-    stats.requestsPerSec =
-        stats.wallSec > 0.0
-            ? static_cast<double>(result.dispatches) / stats.wallSec
-            : 0.0;
-    const std::vector<double> sorted = latencies.merged();
-    stats.p50Ms = trust::benchutil::percentile(sorted, 0.50);
-    stats.p99Ms = trust::benchutil::percentile(sorted, 0.99);
+    stats.latency = trust::benchutil::summarizeLatencies(
+        latencies.merged(), stats.wallSec);
 
     stats.decisions.reserve(result.channels.size());
     for (const auto &channel : result.channels) {
@@ -166,43 +149,6 @@ sweepConfig(const FleetFlags &flags, int threads)
              channel.simEnd});
     }
     return stats;
-}
-
-void
-writeJson(const FleetFlags &flags,
-          const std::vector<ConfigStats> &sweep, bool identical,
-          double speedup8)
-{
-    trust::benchutil::writeBenchJson(
-        "BENCH_fleet.json", "a12_fleet",
-        [&](core::obs::JsonWriter &w) {
-            w.kv("hardware_threads",
-                 static_cast<std::uint64_t>(
-                     std::thread::hardware_concurrency()));
-            w.kv("devices", flags.devices);
-            w.kv("servers", flags.servers);
-            w.kv("clicks", flags.clicks);
-            w.kv("identical_decisions", identical);
-            w.kv("speedup_8t_vs_1t", speedup8);
-            w.kv("mont_cache_hits",
-                 trust::crypto::montgomeryCacheHits());
-            w.kv("mont_cache_misses",
-                 trust::crypto::montgomeryCacheMisses());
-            w.key("results");
-            w.beginArray();
-            for (const auto &s : sweep) {
-                w.beginObject();
-                w.kv("threads", s.threads);
-                w.kv("requests_per_sec", s.requestsPerSec);
-                w.kv("p50_ms", s.p50Ms);
-                w.kv("p99_ms", s.p99Ms);
-                w.kv("wall_s", s.wallSec);
-                w.kv("dispatches", s.dispatches);
-                w.kv("sessions_ok", s.sessionsOk);
-                w.endObject();
-            }
-            w.endArray();
-        });
 }
 
 void
@@ -227,10 +173,11 @@ runSweep(const FleetFlags &flags)
     for (const auto &s : sweep)
         identical = identical && s.decisions == sweep.front().decisions;
 
+    const double base = sweep.front().latency.opsPerSec;
     double speedup8 = 0.0;
     for (const auto &s : sweep) {
-        if (s.threads == 8 && sweep.front().requestsPerSec > 0.0)
-            speedup8 = s.requestsPerSec / sweep.front().requestsPerSec;
+        if (s.threads == 8 && base > 0.0)
+            speedup8 = s.latency.opsPerSec / base;
     }
 
     core::Table table({"threads", "req/sec", "p50", "p99", "wall",
@@ -238,16 +185,13 @@ runSweep(const FleetFlags &flags)
     for (const auto &s : sweep) {
         table.addRow(
             {std::to_string(s.threads),
-             core::Table::num(s.requestsPerSec, 1),
-             core::Table::num(s.p50Ms, 3) + " ms",
-             core::Table::num(s.p99Ms, 3) + " ms",
+             core::Table::num(s.latency.opsPerSec, 1),
+             core::Table::num(s.latency.p50Ms, 3) + " ms",
+             core::Table::num(s.latency.p99Ms, 3) + " ms",
              core::Table::num(s.wallSec, 2) + " s",
              std::to_string(s.sessionsOk) + "/" +
                  std::to_string(flags.devices),
-             core::Table::num(s.requestsPerSec /
-                                  sweep.front().requestsPerSec,
-                              2) +
-                 "x"});
+             core::Table::num(s.latency.opsPerSec / base, 2) + "x"});
     }
     table.print();
 
@@ -271,7 +215,36 @@ runSweep(const FleetFlags &flags)
                     "result)\n",
                     speedup8);
     }
-    writeJson(flags, sweep, identical, speedup8);
+    trust::benchutil::writeBenchJson(
+        "BENCH_fleet.json", "a12_fleet",
+        [&](core::obs::JsonWriter &w) {
+            w.kv("hardware_threads",
+                 static_cast<std::uint64_t>(
+                     std::thread::hardware_concurrency()));
+            w.kv("devices", flags.devices);
+            w.kv("servers", flags.servers);
+            w.kv("clicks", flags.clicks);
+            w.kv("identical_decisions", identical);
+            w.kv("speedup_8t_vs_1t", speedup8);
+            w.kv("mont_cache_hits",
+                 trust::crypto::montgomeryCacheHits());
+            w.kv("mont_cache_misses",
+                 trust::crypto::montgomeryCacheMisses());
+            w.key("results");
+            w.beginArray();
+            for (const auto &s : sweep) {
+                w.beginObject();
+                w.kv("threads", s.threads);
+                w.kv("requests_per_sec", s.latency.opsPerSec);
+                w.kv("p50_ms", s.latency.p50Ms);
+                w.kv("p99_ms", s.latency.p99Ms);
+                w.kv("wall_s", s.wallSec);
+                w.kv("dispatches", s.dispatches);
+                w.kv("sessions_ok", s.sessionsOk);
+                w.endObject();
+            }
+            w.endArray();
+        });
 }
 
 /** Raw dispatch microbenchmark on one shared server. */
@@ -296,44 +269,14 @@ BM_SharedServerDispatch(benchmark::State &state)
 }
 BENCHMARK(BM_SharedServerDispatch)->Unit(benchmark::kMillisecond);
 
-FleetFlags
-parseFleetFlags(int &argc, char **argv)
-{
-    FleetFlags flags;
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg = argv[i];
-        const auto match = [&](std::string_view prefix, int &dest) {
-            if (arg.substr(0, prefix.size()) != prefix)
-                return false;
-            dest = std::atoi(
-                std::string(arg.substr(prefix.size())).c_str());
-            return true;
-        };
-        if (match("--devices=", flags.devices) ||
-            match("--servers=", flags.servers) ||
-            match("--clicks=", flags.clicks))
-            continue;
-        argv[out++] = argv[i];
-    }
-    argc = out;
-    flags.devices = std::max(flags.devices, 1);
-    flags.servers = std::max(flags.servers, 1);
-    flags.clicks = std::max(flags.clicks, 0);
-    return flags;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    const auto obs_opts = trust::benchutil::parseObsFlags(argc, argv);
-    const FleetFlags flags = parseFleetFlags(argc, argv);
-    runSweep(flags);
-    std::printf("\n");
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    trust::benchutil::writeObsOutputs(obs_opts);
-    return 0;
+    FleetFlags flags;
+    return trust::benchutil::run(argc, argv, [&] { runSweep(flags); },
+                                 {{"devices", flags.devices, 1},
+                                  {"servers", flags.servers, 1},
+                                  {"clicks", flags.clicks, 0}});
 }

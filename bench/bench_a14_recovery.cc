@@ -34,11 +34,8 @@
 #include "bench_obs_util.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -59,14 +56,6 @@ struct RecoveryFlags
     int mutations = 2000;
     int devices = 8;
 };
-
-double
-secondsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
 
 // ------------------------------------------------------------------ //
 // Experiment 1: store append + recovery cost                          //
@@ -109,7 +98,7 @@ runStoreWorkload(const std::string &label, int mutations,
     {
         proto::TrustStore store(disk, "srv", policy);
         store.recover();
-        const auto t0 = std::chrono::steady_clock::now();
+        const trust::benchutil::Stopwatch sw;
         for (int i = 0; i < mutations; ++i) {
             switch (i % 4) {
               case 0:
@@ -128,7 +117,7 @@ runStoreWorkload(const std::string &label, int mutations,
                 break;
             }
         }
-        stats.appendSec = secondsSince(t0);
+        stats.appendSec = sw.seconds();
         stats.snapshots = store.snapshotsWritten();
         stats.snapshotBytes = store.snapshotBytesWritten();
         stats.walBytes = store.logBytes();
@@ -140,9 +129,9 @@ runStoreWorkload(const std::string &label, int mutations,
     disk.crashClean();
 
     proto::TrustStore recovered(disk, "srv", policy);
-    const auto t1 = std::chrono::steady_clock::now();
+    const trust::benchutil::Stopwatch sw;
     const proto::RecoveryReport report = recovered.recover();
-    stats.recoverSec = secondsSince(t1);
+    stats.recoverSec = sw.seconds();
     stats.replayed = report.replayed;
     stats.snapshotLoaded = report.snapshotLoaded;
     return stats;
@@ -197,21 +186,21 @@ runFleetRecovery(const RecoveryFlags &flags, int threads)
     wal::SimulatedStorage disk;
     {
         proto::Fleet fleet(recoveryFleetConfig(flags, &disk));
-        const auto t0 = std::chrono::steady_clock::now();
+        const trust::benchutil::Stopwatch sw;
         (void)fleet.run();
-        stats.phase1Sec = secondsSince(t0);
+        stats.phase1Sec = sw.seconds();
     }
     disk.crashClean();
 
-    const auto t1 = std::chrono::steady_clock::now();
+    trust::benchutil::Stopwatch sw;
     proto::Fleet fleet(recoveryFleetConfig(flags, &disk));
-    stats.recoverSec = secondsSince(t1);
+    stats.recoverSec = sw.seconds();
     for (int s = 0; s < fleet.serverCount(); ++s)
         stats.replayed += fleet.recovery(s).replayed;
 
-    const auto t2 = std::chrono::steady_clock::now();
+    sw.restart();
     const proto::FleetResult result = fleet.run();
-    stats.phase2Sec = secondsSince(t2);
+    stats.phase2Sec = sw.seconds();
     stats.sessionsOk = result.sessionsOk;
     stats.decisions.reserve(result.channels.size());
     for (const auto &channel : result.channels) {
@@ -297,71 +286,6 @@ runOverloadBurst(int burst)
 // ------------------------------------------------------------------ //
 // Reporting                                                           //
 // ------------------------------------------------------------------ //
-
-void
-writeJson(const RecoveryFlags &flags,
-          const std::vector<StoreRunStats> &stores,
-          const std::vector<FleetRecoveryStats> &fleets,
-          bool identical, const std::vector<OverloadStats> &bursts,
-          bool allCompleted)
-{
-    trust::benchutil::writeBenchJson(
-        "BENCH_recovery.json", "a14_recovery",
-        [&](core::obs::JsonWriter &w) {
-            w.kv("hardware_threads",
-                 static_cast<std::uint64_t>(
-                     std::thread::hardware_concurrency()));
-            w.kv("mutations", flags.mutations);
-            w.kv("devices", flags.devices);
-            w.kv("identical_phase2_decisions", identical);
-            w.kv("overload_all_completed", allCompleted);
-            w.key("store_runs");
-            w.beginArray();
-            for (const auto &s : stores) {
-                w.beginObject();
-                w.kv("label", s.label);
-                w.kv("append_s", s.appendSec);
-                w.kv("syncs", s.syncs);
-                w.kv("wal_bytes",
-                     static_cast<std::uint64_t>(s.walBytes));
-                w.kv("segments",
-                     static_cast<std::uint64_t>(s.segments));
-                w.kv("segments_gcd", s.segmentsGcd);
-                w.kv("snapshots",
-                     static_cast<std::uint64_t>(s.snapshots));
-                w.kv("snapshot_bytes", s.snapshotBytes);
-                w.kv("recover_s", s.recoverSec);
-                w.kv("replayed", s.replayed);
-                w.kv("snapshot_loaded", s.snapshotLoaded);
-                w.endObject();
-            }
-            w.endArray();
-            w.key("fleet_recovery");
-            w.beginArray();
-            for (const auto &f : fleets) {
-                w.beginObject();
-                w.kv("threads", f.threads);
-                w.kv("phase1_s", f.phase1Sec);
-                w.kv("recover_s", f.recoverSec);
-                w.kv("phase2_s", f.phase2Sec);
-                w.kv("replayed", f.replayed);
-                w.kv("sessions_ok", f.sessionsOk);
-                w.endObject();
-            }
-            w.endArray();
-            w.key("overload");
-            w.beginArray();
-            for (const auto &b : bursts) {
-                w.beginObject();
-                w.kv("burst", b.burst);
-                w.kv("admitted", b.admitted);
-                w.kv("shed", b.shed);
-                w.kv("drain_rounds", b.drainRounds);
-                w.endObject();
-            }
-            w.endArray();
-        });
-}
 
 void
 runAll(const RecoveryFlags &flags)
@@ -456,8 +380,62 @@ runAll(const RecoveryFlags &flags)
     std::printf("all bursts eventually completed: %s\n",
                 all_completed ? "yes" : "NO");
 
-    writeJson(flags, stores, fleets, identical, bursts,
-              all_completed);
+    trust::benchutil::writeBenchJson(
+        "BENCH_recovery.json", "a14_recovery",
+        [&](core::obs::JsonWriter &w) {
+            w.kv("hardware_threads",
+                 static_cast<std::uint64_t>(
+                     std::thread::hardware_concurrency()));
+            w.kv("mutations", flags.mutations);
+            w.kv("devices", flags.devices);
+            w.kv("identical_phase2_decisions", identical);
+            w.kv("overload_all_completed", all_completed);
+            w.key("store_runs");
+            w.beginArray();
+            for (const auto &s : stores) {
+                w.beginObject();
+                w.kv("label", s.label);
+                w.kv("append_s", s.appendSec);
+                w.kv("syncs", s.syncs);
+                w.kv("wal_bytes",
+                     static_cast<std::uint64_t>(s.walBytes));
+                w.kv("segments",
+                     static_cast<std::uint64_t>(s.segments));
+                w.kv("segments_gcd", s.segmentsGcd);
+                w.kv("snapshots",
+                     static_cast<std::uint64_t>(s.snapshots));
+                w.kv("snapshot_bytes", s.snapshotBytes);
+                w.kv("recover_s", s.recoverSec);
+                w.kv("replayed", s.replayed);
+                w.kv("snapshot_loaded", s.snapshotLoaded);
+                w.endObject();
+            }
+            w.endArray();
+            w.key("fleet_recovery");
+            w.beginArray();
+            for (const auto &f : fleets) {
+                w.beginObject();
+                w.kv("threads", f.threads);
+                w.kv("phase1_s", f.phase1Sec);
+                w.kv("recover_s", f.recoverSec);
+                w.kv("phase2_s", f.phase2Sec);
+                w.kv("replayed", f.replayed);
+                w.kv("sessions_ok", f.sessionsOk);
+                w.endObject();
+            }
+            w.endArray();
+            w.key("overload");
+            w.beginArray();
+            for (const auto &b : bursts) {
+                w.beginObject();
+                w.kv("burst", b.burst);
+                w.kv("admitted", b.admitted);
+                w.kv("shed", b.shed);
+                w.kv("drain_rounds", b.drainRounds);
+                w.endObject();
+            }
+            w.endArray();
+        });
 }
 
 /** Raw WAL append+sync microbenchmark on the simulated disk. */
@@ -474,42 +452,13 @@ BM_WalAppendSynced(benchmark::State &state)
 }
 BENCHMARK(BM_WalAppendSynced)->Unit(benchmark::kMicrosecond);
 
-RecoveryFlags
-parseRecoveryFlags(int &argc, char **argv)
-{
-    RecoveryFlags flags;
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg = argv[i];
-        const auto match = [&](std::string_view prefix, int &dest) {
-            if (arg.substr(0, prefix.size()) != prefix)
-                return false;
-            dest = std::atoi(
-                std::string(arg.substr(prefix.size())).c_str());
-            return true;
-        };
-        if (match("--mutations=", flags.mutations) ||
-            match("--devices=", flags.devices))
-            continue;
-        argv[out++] = argv[i];
-    }
-    argc = out;
-    flags.mutations = std::max(flags.mutations, 1);
-    flags.devices = std::max(flags.devices, 1);
-    return flags;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    const auto obs_opts = trust::benchutil::parseObsFlags(argc, argv);
-    const RecoveryFlags flags = parseRecoveryFlags(argc, argv);
-    runAll(flags);
-    std::printf("\n");
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    trust::benchutil::writeObsOutputs(obs_opts);
-    return 0;
+    RecoveryFlags flags;
+    return trust::benchutil::run(
+        argc, argv, [&] { runAll(flags); },
+        {{"mutations", flags.mutations, 1}, {"devices", flags.devices, 1}});
 }

@@ -32,11 +32,8 @@
 #include "bench_obs_util.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -57,14 +54,6 @@ struct StormFlags
 {
     int devices = 8;
 };
-
-double
-secondsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
 
 // ------------------------------------------------------------------ //
 // Experiments 1 + 2: storm sweep and mid-storm crash/recover          //
@@ -136,9 +125,9 @@ runStorm(const StormFlags &flags, int threads, bool restart)
 
     wal::SimulatedStorage disk;
     proto::Storm storm(stormConfig(flags, restart ? &disk : nullptr));
-    const auto t0 = std::chrono::steady_clock::now();
+    const trust::benchutil::Stopwatch sw;
     const proto::StormResult result = storm.run();
-    stats.totalSec = secondsSince(t0);
+    stats.totalSec = sw.seconds();
     stats.decisions = decisionsOf(result);
     for (const auto &report : result.restartRecoveries)
         stats.replayed += report.replayed;
@@ -183,12 +172,12 @@ runCrlFanout(int serials, int servers)
     crl.issuer = ca.name();
     crl.crlSeq = 1;
     crl.revokedSerials = ca.revokedSerials();
-    const auto t0 = std::chrono::steady_clock::now();
+    trust::benchutil::Stopwatch sw;
     crl.signature = ca.signWithRootKey(crl.signedBody());
-    stats.signSec = secondsSince(t0);
+    stats.signSec = sw.seconds();
 
     const core::Bytes wire = crl.serialize();
-    const auto t1 = std::chrono::steady_clock::now();
+    sw.restart();
     for (auto &server : bank) {
         const auto ack =
             proto::CrlAck::deserialize(server->handle(wire));
@@ -198,70 +187,13 @@ runCrlFanout(int serials, int servers)
             std::printf("CRL install failed at %d serials\n",
                         serials);
     }
-    stats.installSec = secondsSince(t1);
+    stats.installSec = sw.seconds();
     return stats;
 }
 
 // ------------------------------------------------------------------ //
 // Reporting                                                           //
 // ------------------------------------------------------------------ //
-
-void
-writeJson(const StormFlags &flags,
-          const std::vector<StormRunStats> &storms,
-          bool decisionsIdentical, bool restartIdentical,
-          bool legitCompletion,
-          const std::vector<CrlFanoutStats> &fanouts)
-{
-    trust::benchutil::writeBenchJson(
-        "BENCH_storms.json", "a15_storms",
-        [&](core::obs::JsonWriter &w) {
-            w.kv("hardware_threads",
-                 static_cast<std::uint64_t>(
-                     std::thread::hardware_concurrency()));
-            w.kv("devices", flags.devices);
-            w.kv("decisions_identical_across_threads",
-                 decisionsIdentical);
-            w.kv("restart_decisions_identical", restartIdentical);
-            w.kv("legit_reregistrations_completed", legitCompletion);
-            w.key("storms");
-            w.beginArray();
-            for (const auto &s : storms) {
-                w.beginObject();
-                w.kv("threads", s.threads);
-                w.kv("restarted", s.restarted);
-                w.kv("total_s", s.totalSec);
-                w.kv("replayed", s.replayed);
-                w.kv("resets", s.decisions.resets);
-                w.kv("thief_rejections",
-                     s.decisions.thiefRejections);
-                w.kv("re_registrations",
-                     s.decisions.reRegistrations);
-                w.kv("transfers", s.decisions.transfers);
-                w.kv("lockouts", s.decisions.lockouts);
-                w.kv("revoked_rejections",
-                     s.decisions.revokedRejections);
-                w.kv("post_storm_ok", s.decisions.postStormOk);
-                w.kv("post_storm_total",
-                     s.decisions.postStormTotal);
-                w.kv("crl_acks", s.decisions.crlAcks);
-                w.kv("crl_serials", s.decisions.crlSerials);
-                w.endObject();
-            }
-            w.endArray();
-            w.key("crl_fanout");
-            w.beginArray();
-            for (const auto &f : fanouts) {
-                w.beginObject();
-                w.kv("serials", f.serials);
-                w.kv("servers", f.servers);
-                w.kv("sign_ms", f.signSec * 1e3);
-                w.kv("install_ms", f.installSec * 1e3);
-                w.endObject();
-            }
-            w.endArray();
-        });
-}
 
 void
 runAll(const StormFlags &flags)
@@ -329,8 +261,54 @@ runAll(const StormFlags &flags)
     }
     crl_table.print();
 
-    writeJson(flags, storms, decisions_identical, restart_identical,
-              legit_completion, fanouts);
+    trust::benchutil::writeBenchJson(
+        "BENCH_storms.json", "a15_storms",
+        [&](core::obs::JsonWriter &w) {
+            w.kv("hardware_threads",
+                 static_cast<std::uint64_t>(
+                     std::thread::hardware_concurrency()));
+            w.kv("devices", flags.devices);
+            w.kv("decisions_identical_across_threads",
+                 decisions_identical);
+            w.kv("restart_decisions_identical", restart_identical);
+            w.kv("legit_reregistrations_completed", legit_completion);
+            w.key("storms");
+            w.beginArray();
+            for (const auto &s : storms) {
+                w.beginObject();
+                w.kv("threads", s.threads);
+                w.kv("restarted", s.restarted);
+                w.kv("total_s", s.totalSec);
+                w.kv("replayed", s.replayed);
+                w.kv("resets", s.decisions.resets);
+                w.kv("thief_rejections",
+                     s.decisions.thiefRejections);
+                w.kv("re_registrations",
+                     s.decisions.reRegistrations);
+                w.kv("transfers", s.decisions.transfers);
+                w.kv("lockouts", s.decisions.lockouts);
+                w.kv("revoked_rejections",
+                     s.decisions.revokedRejections);
+                w.kv("post_storm_ok", s.decisions.postStormOk);
+                w.kv("post_storm_total",
+                     s.decisions.postStormTotal);
+                w.kv("crl_acks", s.decisions.crlAcks);
+                w.kv("crl_serials", s.decisions.crlSerials);
+                w.endObject();
+            }
+            w.endArray();
+            w.key("crl_fanout");
+            w.beginArray();
+            for (const auto &f : fanouts) {
+                w.beginObject();
+                w.kv("serials", f.serials);
+                w.kv("servers", f.servers);
+                w.kv("sign_ms", f.signSec * 1e3);
+                w.kv("install_ms", f.installSec * 1e3);
+                w.endObject();
+            }
+            w.endArray();
+        });
 }
 
 /** Microbenchmark: one CRL merge into a warm revocation cache. */
@@ -355,40 +333,12 @@ BM_CrlInstall(benchmark::State &state)
 }
 BENCHMARK(BM_CrlInstall)->Unit(benchmark::kMicrosecond);
 
-StormFlags
-parseStormFlags(int &argc, char **argv)
-{
-    StormFlags flags;
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg = argv[i];
-        const auto match = [&](std::string_view prefix, int &dest) {
-            if (arg.substr(0, prefix.size()) != prefix)
-                return false;
-            dest = std::atoi(
-                std::string(arg.substr(prefix.size())).c_str());
-            return true;
-        };
-        if (match("--devices=", flags.devices))
-            continue;
-        argv[out++] = argv[i];
-    }
-    argc = out;
-    flags.devices = std::max(flags.devices, 5);
-    return flags;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    const auto obs_opts = trust::benchutil::parseObsFlags(argc, argv);
-    const StormFlags flags = parseStormFlags(argc, argv);
-    runAll(flags);
-    std::printf("\n");
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    trust::benchutil::writeObsOutputs(obs_opts);
-    return 0;
+    StormFlags flags;
+    return trust::benchutil::run(argc, argv, [&] { runAll(flags); },
+                                 {{"devices", flags.devices, 5}});
 }

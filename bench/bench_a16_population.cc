@@ -29,11 +29,8 @@
 #include "bench_obs_util.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/csv.hh"
@@ -53,14 +50,6 @@ struct PopulationFlags
     int churn = 2;
     bool smoke = false;
 };
-
-double
-secondsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
 
 struct RecoveryPoint
 {
@@ -97,13 +86,13 @@ runSweepPoint(const PopulationFlags &flags, std::size_t accounts)
     {
         proto::TrustStore store(disk, "pop");
         store.recover();
-        const auto t0 = std::chrono::steady_clock::now();
+        trust::benchutil::Stopwatch sw;
         point.population = proto::runPopulation(store, config);
-        point.loadSec = secondsSince(t0);
+        point.loadSec = sw.seconds();
 
-        const auto t1 = std::chrono::steady_clock::now();
+        sw.restart();
         store.checkpoint();
-        point.checkpointSec = secondsSince(t1);
+        point.checkpointSec = sw.seconds();
 
         // Write amplification: every byte ever pushed at storage
         // (WAL frames + snapshot generations) over the bytes a
@@ -123,11 +112,11 @@ runSweepPoint(const PopulationFlags &flags, std::size_t accounts)
         wal::SimulatedStorage image = disk;
         core::setParallelThreads(threads);
         proto::TrustStore store(image, "pop");
-        const auto t0 = std::chrono::steady_clock::now();
+        const trust::benchutil::Stopwatch sw;
         const proto::RecoveryReport report = store.recover();
         RecoveryPoint rp;
         rp.threads = threads;
-        rp.recoverSec = secondsSince(t0);
+        rp.recoverSec = sw.seconds();
         rp.replayed = report.replayed;
         rp.digest = store.stateDigest();
         point.recoveries.push_back(std::move(rp));
@@ -139,60 +128,6 @@ runSweepPoint(const PopulationFlags &flags, std::size_t accounts)
             point.digestsIdentical &&
             rp.digest == point.recoveries.front().digest;
     return point;
-}
-
-void
-writeJson(const PopulationFlags &flags,
-          const std::vector<SweepPoint> &points, bool all_identical)
-{
-    trust::benchutil::writeBenchJson(
-        "BENCH_population.json", "a16_population",
-        [&](core::obs::JsonWriter &w) {
-            w.kv("churn_per_account", flags.churn);
-            w.kv("smoke", flags.smoke);
-            w.kv("digests_identical", all_identical);
-            w.key("sweep");
-            w.beginArray();
-            for (const SweepPoint &p : points) {
-                const proto::PopulationStats &s = p.population;
-                w.beginObject();
-                w.kv("accounts",
-                     static_cast<std::uint64_t>(p.accounts));
-                w.kv("events", s.events);
-                w.kv("load_s", p.loadSec);
-                w.kv("checkpoint_s", p.checkpointSec);
-                w.kv("peak_storage_bytes",
-                     static_cast<std::uint64_t>(s.peakStorageBytes));
-                w.kv("final_storage_bytes",
-                     static_cast<std::uint64_t>(s.finalStorageBytes));
-                w.kv("final_log_bytes",
-                     static_cast<std::uint64_t>(s.finalLogBytes));
-                w.kv("segments",
-                     static_cast<std::uint64_t>(s.finalSegments));
-                w.kv("segments_gcd", s.segmentsGcd);
-                w.kv("snapshots_written", s.snapshotsWritten);
-                w.kv("snapshot_bytes", s.snapshotBytesWritten);
-                w.kv("wal_bytes_appended", s.walBytesAppended);
-                w.kv("write_amplification", p.amplification);
-                w.kv("live_accounts",
-                     static_cast<std::uint64_t>(s.liveAccounts));
-                w.kv("live_sessions",
-                     static_cast<std::uint64_t>(s.liveSessions));
-                w.kv("digests_identical", p.digestsIdentical);
-                w.key("recovery");
-                w.beginArray();
-                for (const RecoveryPoint &rp : p.recoveries) {
-                    w.beginObject();
-                    w.kv("threads", rp.threads);
-                    w.kv("recover_s", rp.recoverSec);
-                    w.kv("replayed", rp.replayed);
-                    w.endObject();
-                }
-                w.endArray();
-                w.endObject();
-            }
-            w.endArray();
-        });
 }
 
 void
@@ -245,7 +180,54 @@ runAll(const PopulationFlags &flags)
                 "recovery threads: %s\n",
                 all_identical ? "yes" : "NO (determinism violation)");
 
-    writeJson(flags, points, all_identical);
+    trust::benchutil::writeBenchJson(
+        "BENCH_population.json", "a16_population",
+        [&](core::obs::JsonWriter &w) {
+            w.kv("churn_per_account", flags.churn);
+            w.kv("smoke", flags.smoke);
+            w.kv("digests_identical", all_identical);
+            w.key("sweep");
+            w.beginArray();
+            for (const SweepPoint &p : points) {
+                const proto::PopulationStats &s = p.population;
+                w.beginObject();
+                w.kv("accounts",
+                     static_cast<std::uint64_t>(p.accounts));
+                w.kv("events", s.events);
+                w.kv("load_s", p.loadSec);
+                w.kv("checkpoint_s", p.checkpointSec);
+                w.kv("peak_storage_bytes",
+                     static_cast<std::uint64_t>(s.peakStorageBytes));
+                w.kv("final_storage_bytes",
+                     static_cast<std::uint64_t>(s.finalStorageBytes));
+                w.kv("final_log_bytes",
+                     static_cast<std::uint64_t>(s.finalLogBytes));
+                w.kv("segments",
+                     static_cast<std::uint64_t>(s.finalSegments));
+                w.kv("segments_gcd", s.segmentsGcd);
+                w.kv("snapshots_written", s.snapshotsWritten);
+                w.kv("snapshot_bytes", s.snapshotBytesWritten);
+                w.kv("wal_bytes_appended", s.walBytesAppended);
+                w.kv("write_amplification", p.amplification);
+                w.kv("live_accounts",
+                     static_cast<std::uint64_t>(s.liveAccounts));
+                w.kv("live_sessions",
+                     static_cast<std::uint64_t>(s.liveSessions));
+                w.kv("digests_identical", p.digestsIdentical);
+                w.key("recovery");
+                w.beginArray();
+                for (const RecoveryPoint &rp : p.recoveries) {
+                    w.beginObject();
+                    w.kv("threads", rp.threads);
+                    w.kv("recover_s", rp.recoverSec);
+                    w.kv("replayed", rp.replayed);
+                    w.endObject();
+                }
+                w.endArray();
+                w.endObject();
+            }
+            w.endArray();
+        });
 }
 
 /** Per-mutation churn cost on a warm 10k-account store. */
@@ -276,46 +258,15 @@ BM_PopulationChurn(benchmark::State &state)
 }
 BENCHMARK(BM_PopulationChurn)->Unit(benchmark::kMicrosecond);
 
-PopulationFlags
-parsePopulationFlags(int &argc, char **argv)
-{
-    PopulationFlags flags;
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg = argv[i];
-        const auto match = [&](std::string_view prefix, int &dest) {
-            if (arg.substr(0, prefix.size()) != prefix)
-                return false;
-            dest = std::atoi(
-                std::string(arg.substr(prefix.size())).c_str());
-            return true;
-        };
-        if (arg == "--smoke") {
-            flags.smoke = true;
-            continue;
-        }
-        if (match("--accounts=", flags.accounts) ||
-            match("--churn=", flags.churn))
-            continue;
-        argv[out++] = argv[i];
-    }
-    argc = out;
-    flags.accounts = std::max(flags.accounts, 1);
-    flags.churn = std::max(flags.churn, 0);
-    return flags;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    const auto obs_opts = trust::benchutil::parseObsFlags(argc, argv);
-    const PopulationFlags flags = parsePopulationFlags(argc, argv);
-    runAll(flags);
-    std::printf("\n");
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    trust::benchutil::writeObsOutputs(obs_opts);
-    return 0;
+    PopulationFlags flags;
+    return trust::benchutil::run(
+        argc, argv, [&] { runAll(flags); },
+        {{"accounts", flags.accounts, 1},
+         {"churn", flags.churn, 0},
+         {"smoke", flags.smoke}});
 }

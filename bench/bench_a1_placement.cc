@@ -160,11 +160,5 @@ BENCHMARK(BM_AnnealingPlacement)->Arg(2000)->Arg(8000)
 int
 main(int argc, char **argv)
 {
-    const auto obs_opts = trust::benchutil::parseObsFlags(argc, argv);
-    printPlacementSweep();
-    std::printf("\n");
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    trust::benchutil::writeObsOutputs(obs_opts);
-    return 0;
+    return trust::benchutil::run(argc, argv, printPlacementSweep);
 }

@@ -16,7 +16,6 @@
 
 #include "bench_obs_util.hh"
 
-#include <chrono>
 #include <cstdio>
 
 #include "core/csv.hh"
@@ -105,11 +104,9 @@ pageRequestMs(bool online, int requests)
             proto::renderFrame(*content, {100, 0}, display),
             goodCapture(finger, rng));
         TRUST_ASSERT(request.has_value(), "bench_a4: no request");
-        const auto t0 = std::chrono::steady_clock::now();
+        const trust::benchutil::Stopwatch sw;
         page = server.handlePageRequest(*request);
-        total_ms += std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
+        total_ms += sw.ms();
     }
     return total_ms / requests;
 }
@@ -134,15 +131,13 @@ printFrameHashStudy()
     for (int zooms : {1, 3, 6}) {
         // Mirror standardViews() structure: zooms x 4 scrolls.
         const int views = zooms * 4;
-        const auto t0 = std::chrono::steady_clock::now();
+        const trust::benchutil::Stopwatch sw;
         for (int z = 0; z < zooms; ++z)
             for (int s = 0; s < 4; ++s)
                 benchmark::DoNotOptimize(engine.hashFrame(
                     proto::renderFrame(page, {100 + 50 * z, s},
                                        display)));
-        const double ms = std::chrono::duration<double, std::milli>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
+        const double ms = sw.ms();
         table.addRow({std::to_string(views),
                       core::Table::num(ms, 1) + " ms",
                       "online (render+hash all views per request)"});
@@ -246,11 +241,5 @@ BENCHMARK(BM_FrameHashAlgorithms)->Arg(0)->Arg(1);
 int
 main(int argc, char **argv)
 {
-    const auto obs_opts = trust::benchutil::parseObsFlags(argc, argv);
-    printFrameHashStudy();
-    std::printf("\n");
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    trust::benchutil::writeObsOutputs(obs_opts);
-    return 0;
+    return trust::benchutil::run(argc, argv, printFrameHashStudy);
 }

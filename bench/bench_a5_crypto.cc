@@ -13,7 +13,6 @@
 
 #include "bench_obs_util.hh"
 
-#include <chrono>
 #include <cstdio>
 #include <thread>
 
@@ -37,14 +36,12 @@ sha256MegabytesPerSecond()
 {
     Bytes frame(480 * 800 * 2, 0x5a);
     constexpr int kFrames = 24;
-    const auto t0 = std::chrono::steady_clock::now();
+    const trust::benchutil::Stopwatch sw;
     for (int i = 0; i < kFrames; ++i) {
         const Bytes digest = crypto::Sha256::digest(frame);
         frame[static_cast<std::size_t>(i)] ^= digest[0];
     }
-    const double s = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count();
+    const double s = sw.seconds();
     return static_cast<double>(frame.size()) * kFrames / s / 1e6;
 }
 
@@ -66,7 +63,6 @@ printShaBackends()
     else
         std::printf("  sha-ni   unavailable (CPU or build)\n");
     simd::setForceScalar(prev);
-    std::printf("\n");
 }
 
 const crypto::RsaKeyPair &
@@ -206,12 +202,5 @@ BENCHMARK(BM_CertificateIssueVerify)->Unit(benchmark::kMicrosecond);
 int
 main(int argc, char **argv)
 {
-    const auto obs_opts = trust::benchutil::parseObsFlags(argc, argv);
-    printShaBackends();
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    trust::benchutil::writeObsOutputs(obs_opts);
-    return 0;
+    return trust::benchutil::run(argc, argv, printShaBackends);
 }

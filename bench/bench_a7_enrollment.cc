@@ -18,7 +18,6 @@
 
 #include "bench_obs_util.hh"
 
-#include <chrono>
 #include <cstdio>
 
 #include "core/csv.hh"
@@ -86,7 +85,7 @@ printEnrollmentStudy()
         for (const auto &views : strategy.templates)
             for (const auto &view : views)
                 template_minutiae += static_cast<double>(view.size());
-        std::chrono::duration<double> match_time{0};
+        double match_sec = 0.0;
 
         for (int trial = 0; trial < 360; ++trial) {
             const int fi = trial % n_fingers;
@@ -96,7 +95,7 @@ printEnrollmentStudy()
                 fingers[static_cast<std::size_t>(fi)], cc, rng);
             if (cap.minutiae.size() < 6 || cap.quality < 0.45)
                 continue;
-            const auto t0 = std::chrono::steady_clock::now();
+            const trust::benchutil::Stopwatch sw;
             const bool genuine_hit =
                 fp::matchAgainstViews(
                     strategy.templates[static_cast<std::size_t>(fi)],
@@ -108,7 +107,7 @@ printEnrollmentStudy()
                         (fi + 2) % n_fingers)],
                     cap.minutiae)
                     .accepted;
-            match_time += std::chrono::steady_clock::now() - t0;
+            match_sec += sw.seconds();
             ++tar_n;
             tar_hits += genuine_hit;
             ++far_n;
@@ -120,7 +119,7 @@ printEnrollmentStudy()
              core::Table::num(100.0 * tar_hits / tar_n, 1) + " %",
              core::Table::num(100.0 * far_hits / far_n, 2) + " %",
              core::Table::num(
-                 match_time.count() * 1e6 / (2.0 * tar_n), 0) +
+                 match_sec * 1e6 / (2.0 * tar_n), 0) +
                  " us"});
     }
     table.print();
@@ -148,11 +147,5 @@ BENCHMARK(BM_MosaicConstruction)->Unit(benchmark::kMicrosecond);
 int
 main(int argc, char **argv)
 {
-    const auto obs_opts = trust::benchutil::parseObsFlags(argc, argv);
-    printEnrollmentStudy();
-    std::printf("\n");
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    trust::benchutil::writeObsOutputs(obs_opts);
-    return 0;
+    return trust::benchutil::run(argc, argv, printEnrollmentStudy);
 }

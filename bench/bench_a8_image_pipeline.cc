@@ -19,7 +19,6 @@
 
 #include "bench_obs_util.hh"
 
-#include <chrono>
 #include <cstdio>
 
 #include "core/csv.hh"
@@ -60,7 +59,7 @@ printPipelineComparison()
 
         // Fast path.
         {
-            const auto t0 = std::chrono::steady_clock::now();
+            const trust::benchutil::Stopwatch sw;
             const auto cap = fp::captureTemplateFast(finger, cc, rng);
             bool accepted = false;
             if (cap.quality >= 0.45 && cap.minutiae.size() >= 6) {
@@ -70,9 +69,7 @@ printPipelineComparison()
             } else {
                 ++fast.gate_rejects;
             }
-            fast.seconds += std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count();
+            fast.seconds += sw.seconds();
             if (is_genuine) {
                 ++fast.gen_total;
                 fast.gen_accept += accepted;
@@ -84,7 +81,7 @@ printPipelineComparison()
 
         // Image path (same physical conditions, fresh noise draw).
         {
-            const auto t0 = std::chrono::steady_clock::now();
+            const trust::benchutil::Stopwatch sw;
             const auto impression =
                 fp::captureImpression(finger, cc, rng);
             const auto tpl = fp::extractTemplate(impression);
@@ -96,10 +93,7 @@ printPipelineComparison()
             } else {
                 ++image.gate_rejects;
             }
-            image.seconds +=
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
+            image.seconds += sw.seconds();
             if (is_genuine) {
                 ++image.gen_total;
                 image.gen_accept += accepted;
@@ -169,11 +163,5 @@ BENCHMARK(BM_ImagePipeline)->Unit(benchmark::kMillisecond);
 int
 main(int argc, char **argv)
 {
-    const auto obs_opts = trust::benchutil::parseObsFlags(argc, argv);
-    printPipelineComparison();
-    std::printf("\n");
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    trust::benchutil::writeObsOutputs(obs_opts);
-    return 0;
+    return trust::benchutil::run(argc, argv, printPipelineComparison);
 }

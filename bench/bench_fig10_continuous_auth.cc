@@ -208,19 +208,12 @@ BENCHMARK(BM_PageRequestRoundTrip)->Unit(benchmark::kMicrosecond);
 int
 main(int argc, char **argv)
 {
-    auto obs_opts = trust::benchutil::parseObsFlags(argc, argv);
     // This bench is the canonical observability demo: it always
     // records, and defaults the trace/audit destinations so a bare
     // run leaves an inspectable session behind.
-    if (obs_opts.traceOut.empty())
-        obs_opts.traceOut = "TRACE_continuous_auth.json";
-    if (obs_opts.auditOut.empty())
-        obs_opts.auditOut = "AUDIT_continuous_auth.log";
-    trust::core::obs::setEnabled(true);
-    printContinuousAuthStudy();
-    std::printf("\n");
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    trust::benchutil::writeObsOutputs(obs_opts);
-    return 0;
+    return trust::benchutil::run(
+        argc, argv, printContinuousAuthStudy, {},
+        {.traceOut = "TRACE_continuous_auth.json",
+         .metricsOut = "",
+         .auditOut = "AUDIT_continuous_auth.log"});
 }

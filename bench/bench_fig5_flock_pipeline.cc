@@ -138,11 +138,5 @@ BENCHMARK(BM_FrameHash);
 int
 main(int argc, char **argv)
 {
-    const auto obs_opts = trust::benchutil::parseObsFlags(argc, argv);
-    printPipelineBudget();
-    std::printf("\n");
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    trust::benchutil::writeObsOutputs(obs_opts);
-    return 0;
+    return trust::benchutil::run(argc, argv, printPipelineBudget);
 }

@@ -250,12 +250,8 @@ BENCHMARK(BM_ProcessTouch);
 int
 main(int argc, char **argv)
 {
-    const auto obs_opts = trust::benchutil::parseObsFlags(argc, argv);
-    printFarFrrSweep();
-    printSessionStudy();
-    std::printf("\n");
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    trust::benchutil::writeObsOutputs(obs_opts);
-    return 0;
+    return trust::benchutil::run(argc, argv, [] {
+        printFarFrrSweep();
+        printSessionStudy();
+    });
 }

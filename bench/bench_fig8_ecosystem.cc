@@ -13,7 +13,6 @@
 
 #include "bench_obs_util.hh"
 
-#include <chrono>
 #include <cstdio>
 #include <vector>
 
@@ -47,7 +46,7 @@ runEcosystemScaling()
 {
     std::vector<ScalePoint> points;
     for (int n_devices : {1, 2, 4, 8}) {
-        const auto t0 = std::chrono::steady_clock::now();
+        const trust::benchutil::Stopwatch sw;
 
         proto::EcosystemConfig config;
         config.seed = 80 + static_cast<std::uint64_t>(n_devices);
@@ -86,9 +85,7 @@ runEcosystemScaling()
 
         point.messages = eco.network().messagesSent();
         point.wireBytes = eco.network().bytesSent();
-        point.wallSec = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
+        point.wallSec = sw.seconds();
         points.push_back(point);
     }
     return points;
@@ -166,13 +163,9 @@ BENCHMARK(BM_FullSession)->Unit(benchmark::kMillisecond);
 int
 main(int argc, char **argv)
 {
-    const auto obs_opts = trust::benchutil::parseObsFlags(argc, argv);
-    const auto points = runEcosystemScaling();
-    printEcosystemScaling(points);
-    writeJson(points);
-    std::printf("\n");
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    trust::benchutil::writeObsOutputs(obs_opts);
-    return 0;
+    return trust::benchutil::run(argc, argv, [] {
+        const auto points = runEcosystemScaling();
+        printEcosystemScaling(points);
+        writeJson(points);
+    });
 }

@@ -192,11 +192,5 @@ BENCHMARK(BM_RegistrationCrypto)->Unit(benchmark::kMillisecond);
 int
 main(int argc, char **argv)
 {
-    const auto obs_opts = trust::benchutil::parseObsFlags(argc, argv);
-    printRegistrationStudy();
-    std::printf("\n");
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    trust::benchutil::writeObsOutputs(obs_opts);
-    return 0;
+    return trust::benchutil::run(argc, argv, printRegistrationStudy);
 }

@@ -1,6 +1,6 @@
 /**
  * @file
- * Shared observability harness for the bench mains.
+ * The shared bench harness: every bench main is one call to run().
  *
  * Every bench accepts
  *
@@ -9,22 +9,26 @@
  *     --metrics-out=FILE   metrics registry snapshot as JSON
  *     --audit-out=FILE     decision audit log (canonical line format)
  *
- * parseObsFlags() strips these from argv (so benchmark::Initialize
- * never sees them) and runtime-enables the observability layer when
- * any is present; writeObsOutputs() dumps the requested files after
- * the workload ran.
+ * plus the study flags its main declares and google-benchmark's own
+ * flags. Any other argument, or a malformed value, stops the bench
+ * before its study starts.
  *
+ * Stopwatch is the one wall clock the studies read, and
+ * summarizeLatencies() the one ops/s, mean and quantile summary.
  * writeBenchJson() is the single emission path for the BENCH_*.json
- * result files: a streaming JsonWriter with a fixed envelope
- * (schema + bench name), replacing the per-bench hand-rolled
- * fprintf JSON that used to drift apart. The envelope shape is
- * pinned by tests/core/test_bench_schema.cc.
+ * result files, with a fixed envelope (schema + bench name). The
+ * envelope, the flag parser and the latency summary are pinned by
+ * tests/core/test_bench_schema.cc.
  */
 
 #ifndef TRUST_BENCH_BENCH_OBS_UTIL_HH
 #define TRUST_BENCH_BENCH_OBS_UTIL_HH
 
+#include <benchmark/benchmark.h>
+
 #include <algorithm>
+#include <charconv>
+#include <chrono>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -36,50 +40,91 @@
 
 namespace trust::benchutil {
 
-/** Parsed observability output destinations (empty = off). */
+/**
+ * One command-line flag: `--name=<int>` (raised to at least @c min
+ * after parsing), `--name=<text>`, or the bare switch `--name`.
+ */
+struct Flag
+{
+    Flag(std::string_view flagName, int &dest, int minValue)
+        : name(flagName), intDest(&dest), min(minValue)
+    {
+    }
+    Flag(std::string_view flagName, std::string &dest)
+        : name(flagName), textDest(&dest)
+    {
+    }
+    Flag(std::string_view flagName, bool &dest)
+        : name(flagName), boolDest(&dest)
+    {
+    }
+
+    std::string_view name; ///< Without the leading "--".
+    int *intDest = nullptr;
+    std::string *textDest = nullptr;
+    bool *boolDest = nullptr;
+    int min = 0;
+};
+
+/**
+ * Strip @p flags from argv into their destinations, leaving every
+ * other argument in place. Returns false, with a message on stderr,
+ * when a valued flag has no `=`, or an integer flag's value is not a
+ * whole decimal number in int range.
+ */
+inline bool
+parseFlags(int &argc, char **argv, const std::vector<Flag> &flags)
+{
+    int out = 1;
+    for (int i = 1; i < argc; ++i) {
+        const std::string_view arg = argv[i];
+        const std::size_t eq = arg.find('=');
+        const bool valued = eq != std::string_view::npos;
+        const std::string_view name =
+            arg.substr(0, 2) == "--" ? arg.substr(2, eq - 2) : "";
+        const auto flag =
+            std::find_if(flags.begin(), flags.end(), [&](const Flag &f) {
+                return f.name == name && (!f.boolDest || !valued);
+            });
+        if (flag == flags.end()) {
+            argv[out++] = argv[i];
+            continue;
+        }
+        if (flag->boolDest) {
+            *flag->boolDest = true;
+            continue;
+        }
+        if (flag->textDest && valued) {
+            *flag->textDest = std::string(arg.substr(eq + 1));
+            continue;
+        }
+        const char *end = arg.data() + arg.size();
+        const char *begin = valued ? arg.data() + eq + 1 : end;
+        if (flag->intDest) {
+            const auto [ptr, ec] =
+                std::from_chars(begin, end, *flag->intDest);
+            if (ec == std::errc() && ptr == end)
+                continue;
+        }
+        std::fprintf(stderr, "%s: %s: expected --%s=<%s>\n", argv[0],
+                     argv[i], std::string(name).c_str(),
+                     flag->intDest ? "integer" : "value");
+        return false;
+    }
+    argc = out;
+    for (const Flag &f : flags)
+        if (f.intDest)
+            *f.intDest = std::max(*f.intDest, f.min);
+    return true;
+}
+
+/** Observability output destinations (empty = off). */
 struct ObsOptions
 {
     std::string traceOut;
     std::string metricsOut;
     std::string auditOut;
-
-    bool
-    any() const
-    {
-        return !traceOut.empty() || !metricsOut.empty() ||
-               !auditOut.empty();
-    }
 };
-
-/**
- * Strip the --trace-out/--metrics-out/--audit-out flags from argv
- * and enable the observability layer when any was given.
- */
-inline ObsOptions
-parseObsFlags(int &argc, char **argv)
-{
-    ObsOptions opts;
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg = argv[i];
-        const auto match = [&](std::string_view prefix,
-                               std::string &dest) {
-            if (arg.substr(0, prefix.size()) != prefix)
-                return false;
-            dest = std::string(arg.substr(prefix.size()));
-            return true;
-        };
-        if (match("--trace-out=", opts.traceOut) ||
-            match("--metrics-out=", opts.metricsOut) ||
-            match("--audit-out=", opts.auditOut))
-            continue;
-        argv[out++] = argv[i];
-    }
-    argc = out;
-    if (opts.any())
-        core::obs::setEnabled(true);
-    return opts;
-}
 
 inline bool
 writeTextFile(const std::string &path, const std::string &content)
@@ -95,38 +140,119 @@ writeTextFile(const std::string &path, const std::string &content)
 }
 
 /**
- * Nearest-rank quantile @p q in [0, 1] of an ascending-sorted
- * sample (0 for an empty one).
+ * The one bench entry point. Parses the obs flags (over the default
+ * destinations in @p obs, enabling the observability layer when any
+ * is set) and the study's @p flags, lets google-benchmark take its
+ * own and rejects whatever is left; then runs @p study, the
+ * registered microbenchmarks, and writes the obs files. Returns the
+ * exit status for main().
  */
-inline double
-percentile(const std::vector<double> &sorted, double q)
+inline int
+run(int argc, char **argv, const std::function<void()> &study,
+    std::vector<Flag> flags = {}, ObsOptions obs = {})
 {
-    if (sorted.empty())
-        return 0.0;
-    const auto idx = static_cast<std::size_t>(
-        q * static_cast<double>(sorted.size() - 1) + 0.5);
-    return sorted[std::min(idx, sorted.size() - 1)];
+    flags.insert(flags.end(), {{"trace-out", obs.traceOut},
+                               {"metrics-out", obs.metricsOut},
+                               {"audit-out", obs.auditOut}});
+    if (!parseFlags(argc, argv, flags))
+        return 2;
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv))
+        return 1;
+    namespace o = core::obs;
+    if (!obs.traceOut.empty() || !obs.metricsOut.empty() ||
+        !obs.auditOut.empty())
+        o::setEnabled(true);
+
+    study();
+    std::printf("\n");
+    benchmark::RunSpecifiedBenchmarks();
+
+    if (!obs.traceOut.empty() &&
+        writeTextFile(obs.traceOut, o::tracer().toChromeJson()))
+        std::printf("wrote %s (%zu trace events)\n",
+                    obs.traceOut.c_str(), o::tracer().eventCount());
+    if (!obs.metricsOut.empty() &&
+        writeTextFile(obs.metricsOut, o::metrics().toJson()))
+        std::printf("wrote %s\n", obs.metricsOut.c_str());
+    if (!obs.auditOut.empty() &&
+        writeTextFile(obs.auditOut, o::audit().serialize()))
+        std::printf("wrote %s (%zu audit records)\n",
+                    obs.auditOut.c_str(), o::audit().size());
+    return 0;
 }
 
-/** Dump whatever outputs were requested (call after the workload). */
-inline void
-writeObsOutputs(const ObsOptions &opts)
+/** Wall-clock stopwatch, started on construction. */
+class Stopwatch
 {
-    if (opts.traceOut.empty() && opts.metricsOut.empty() &&
-        opts.auditOut.empty())
-        return;
-    namespace obs = core::obs;
-    if (!opts.traceOut.empty() &&
-        writeTextFile(opts.traceOut, obs::tracer().toChromeJson()))
-        std::printf("wrote %s (%zu trace events)\n",
-                    opts.traceOut.c_str(), obs::tracer().eventCount());
-    if (!opts.metricsOut.empty() &&
-        writeTextFile(opts.metricsOut, obs::metrics().toJson()))
-        std::printf("wrote %s\n", opts.metricsOut.c_str());
-    if (!opts.auditOut.empty() &&
-        writeTextFile(opts.auditOut, obs::audit().serialize()))
-        std::printf("wrote %s (%zu audit records)\n",
-                    opts.auditOut.c_str(), obs::audit().size());
+  public:
+    double
+    seconds() const
+    {
+        return std::chrono::duration<double>(Clock::now() - t0_).count();
+    }
+
+    double
+    ms() const
+    {
+        return seconds() * 1e3;
+    }
+
+    /** Milliseconds since the start or the previous lap; restarts. */
+    double
+    lapMs()
+    {
+        const double elapsed = ms();
+        restart();
+        return elapsed;
+    }
+
+    void
+    restart()
+    {
+        t0_ = Clock::now();
+    }
+
+  private:
+    using Clock = std::chrono::steady_clock;
+    Clock::time_point t0_ = Clock::now();
+};
+
+/** Throughput and nearest-rank latency quantiles of one sample. */
+struct LatencySummary
+{
+    double opsPerSec = 0.0;
+    double meanMs = 0.0;
+    double p50Ms = 0.0;
+    double p95Ms = 0.0;
+    double p99Ms = 0.0;
+};
+
+/**
+ * Summarise per-op latencies @p ms (milliseconds) taken over
+ * @p wallSec seconds of wall time, one op per sample. An empty
+ * sample summarises to all zeros.
+ */
+inline LatencySummary
+summarizeLatencies(std::vector<double> ms, double wallSec)
+{
+    LatencySummary s;
+    if (ms.empty())
+        return s;
+    const auto n = static_cast<double>(ms.size());
+    s.opsPerSec = wallSec > 0.0 ? n / wallSec : 0.0;
+    for (const double l : ms)
+        s.meanMs += l;
+    s.meanMs /= n;
+    std::sort(ms.begin(), ms.end());
+    const auto rank = [&](double q) {
+        const auto idx = static_cast<std::size_t>(q * (n - 1.0) + 0.5);
+        return ms[std::min(idx, ms.size() - 1)];
+    };
+    s.p50Ms = rank(0.50);
+    s.p95Ms = rank(0.95);
+    s.p99Ms = rank(0.99);
+    return s;
 }
 
 /**

@@ -39,6 +39,8 @@ outcomeName(proto::TouchOutcome outcome)
         return "low-quality";
       case proto::TouchOutcome::NotCovered:
         return "off-sensor";
+      case proto::TouchOutcome::SensorDegraded:
+        return "sensor-degraded";
     }
     return "?";
 }

@@ -13,8 +13,8 @@
  * aarch64, scalar everywhere else or when the build forces
  * -DTRUST_SIMD=OFF (which defines TRUST_SIMD_DISABLED). A runtime
  * force-scalar switch lets one binary run both code paths, which is
- * how the equivalence tests and bench_a13 compare backends
- * in-process.
+ * how the equivalence tests and the A13 sweep (in
+ * bench_a10_parallel_pipeline) compare backends in-process.
  *
  * Bit-identity contract (DESIGN.md §12): every operation here is a
  * single IEEE-754 rounding step (add/sub/mul/min/max/compare, or
@@ -65,8 +65,8 @@ const char *compiledBackendName();
 /**
  * Runtime override: when set, vectorActive() reports false and
  * dispatching call sites take the scalar instantiation. Used by the
- * equivalence tests and bench_a13 to compare both code paths in one
- * process. Not meant to be toggled while kernels are in flight.
+ * equivalence tests and the A13 sweep to compare both code paths in
+ * one process. Not meant to be toggled while kernels are in flight.
  */
 void setForceScalar(bool force);
 bool scalarForced();

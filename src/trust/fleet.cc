@@ -706,7 +706,10 @@ populationSessionRow(std::size_t index, std::uint64_t refresh)
     session.account = populationAccount(index);
     session.sessionKey = populationKey(index, refresh * 2 + 1, 16);
     session.expectedNonce = populationKey(index, refresh * 2 + 2, 12);
-    session.currentTag = "t" + std::to_string(refresh & 0xff);
+    // Appended rather than "t" + std::to_string(...): g++ 12 at -O3
+    // reports a false -Wrestrict on that form (populationAccount too).
+    session.currentTag = "t";
+    session.currentTag += std::to_string(refresh & 0xff);
     session.lastRequestId = refresh;
     return session;
 }
@@ -716,7 +719,9 @@ populationSessionRow(std::size_t index, std::uint64_t refresh)
 std::string
 populationAccount(std::size_t index)
 {
-    return "u" + std::to_string(index);
+    std::string account = "u";
+    account += std::to_string(index);
+    return account;
 }
 
 std::uint64_t

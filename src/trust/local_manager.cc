@@ -71,15 +71,14 @@ LocalIdentityManager::applyPolicy()
     if (state_ != LockState::Unlocked)
         return;
     const auto risk = flock_.risk();
-    if (policy_.lockOnHardFailure &&
-        risk.rejected >= policy_.hardFailureRejects &&
+    if (risk.rejected >= policy_.hardFailureRejects &&
         risk.rejected > 2 * risk.matched) {
         state_ = LockState::Locked;
         counters_.bump("lock:hard-failure");
         flock_.resetRisk();
         return;
     }
-    if (policy_.lockOnWindowViolation && flock_.riskViolated()) {
+    if (flock_.riskViolated()) {
         state_ = LockState::Locked;
         counters_.bump("lock:window-violation");
         flock_.resetRisk();

@@ -22,15 +22,12 @@ enum class LockState
     Unlocked,
 };
 
-/** What to do when risk policies fire. */
+/**
+ * When to lock: the device always locks on a k-of-n window
+ * violation, and on repeated explicit match rejections.
+ */
 struct ResponsePolicy
 {
-    /** Lock when the k-of-n window is violated. */
-    bool lockOnWindowViolation = true;
-
-    /** Lock immediately on repeated explicit match rejections. */
-    bool lockOnHardFailure = true;
-
     /** Explicit rejections within a window that count as hard. */
     int hardFailureRejects = 3;
 };

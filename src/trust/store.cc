@@ -495,7 +495,7 @@ TrustStore::maybeSnapshotLocked(Shard &shard, bool rolled)
         writeSnapshotLocked(shard);
         return;
     }
-    if (!rolled || !policy_.snapshotOnRotate)
+    if (!rolled)
         return;
     // Compaction trigger: snapshot once the log has outgrown the
     // live state by the configured factor. This keeps retained log

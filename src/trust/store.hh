@@ -77,7 +77,7 @@ struct StorePolicy
     /**
      * Additionally write a snapshot every N applied mutations per
      * shard (0 = cadence-driven snapshots off). Compaction-driven
-     * snapshots (snapshotOnRotate below) run either way; snapshots
+     * snapshots (see compactionFactor) run either way; snapshots
      * only accelerate recovery — correctness never depends on one
      * landing.
      */
@@ -90,18 +90,11 @@ struct StorePolicy
     std::size_t rotateBytes = 256 * 1024;
 
     /**
-     * Schedule a snapshot + segment GC when a shard's active
-     * segment rolls and the log has outgrown the live state (see
-     * compactionFactor). This is the default that keeps long-running
-     * stores recoverable in O(live state) — with it off and
-     * snapshotEvery = 0, recovery degrades to full-history replay.
-     */
-    bool snapshotOnRotate = true;
-
-    /**
-     * Compaction trigger: snapshot when bytes appended since the
-     * last snapshot exceed max(rotateBytes, factor × last snapshot
-     * bytes). Larger factors trade recovery replay for lower
+     * Compaction trigger: whenever a shard's active segment rolls,
+     * snapshot (and GC the covered segments) once the bytes appended
+     * since the last snapshot exceed max(rotateBytes, factor × last
+     * snapshot bytes). This keeps long-running stores recoverable in
+     * O(live state); larger factors trade recovery replay for lower
      * snapshot write amplification.
      */
     double compactionFactor = 2.0;

@@ -1,6 +1,7 @@
-/** @file Schema-shape test for the BENCH_*.json emission path: the
- *  writeBenchJson envelope is pinned here, and any BENCH_*.json
- *  committed at the repo root must conform. */
+/** @file Tests for the bench harness: the writeBenchJson envelope
+ *  is pinned here (and any BENCH_*.json committed at the repo root
+ *  must conform), as are the study-flag parser and the latency
+ *  summary every bench main shares. */
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "bench_obs_util.hh"
 #include "core/obs/json.hh"
@@ -104,6 +106,104 @@ TEST(BenchSchema, CommittedBenchFilesConform)
     // Nothing committed today is also a pass; the contract simply
     // holds for whatever shows up.
     SUCCEED() << checked << " BENCH_*.json files checked";
+}
+
+/** Mutable argv over owned strings, as main() receives it. */
+struct Argv
+{
+    explicit Argv(std::vector<std::string> args) : storage(std::move(args))
+    {
+        for (auto &a : storage)
+            ptrs.push_back(a.data());
+        argc = static_cast<int>(ptrs.size());
+    }
+
+    std::vector<std::string> rest() const
+    {
+        return {ptrs.begin(), ptrs.begin() + argc};
+    }
+
+    std::vector<std::string> storage;
+    std::vector<char *> ptrs;
+    int argc = 0;
+};
+
+using trust::benchutil::parseFlags;
+
+TEST(BenchFlags, KnownFlagsAreParsedAndRemoved)
+{
+    Argv args({"bench", "--devices=12", "--smoke", "--clicks=-4",
+               "--trace-out=t.json"});
+    int devices = 128;
+    int clicks = 3;
+    bool smoke = false;
+    std::string traceOut;
+    ASSERT_TRUE(parseFlags(args.argc, args.ptrs.data(),
+                           {{"devices", devices, 1},
+                            {"clicks", clicks, 0},
+                            {"smoke", smoke},
+                            {"trace-out", traceOut}}));
+    EXPECT_EQ(devices, 12);
+    EXPECT_EQ(clicks, 0); // raised to the flag's minimum
+    EXPECT_TRUE(smoke);
+    EXPECT_EQ(traceOut, "t.json");
+    EXPECT_EQ(args.rest(), std::vector<std::string>{"bench"});
+}
+
+TEST(BenchFlags, UnknownFlagsStayForGoogleBenchmark)
+{
+    Argv args({"bench", "--benchmark_filter=BM_X", "--acounts=1000",
+               "--devicesx=3", "--smoke=1", "devices=4"});
+    int devices = 8;
+    bool smoke = false;
+    ASSERT_TRUE(parseFlags(args.argc, args.ptrs.data(),
+                           {{"devices", devices, 1}, {"smoke", smoke}}));
+    EXPECT_EQ(devices, 8);
+    EXPECT_FALSE(smoke);
+    EXPECT_EQ(args.rest(),
+              (std::vector<std::string>{"bench", "--benchmark_filter=BM_X",
+                                        "--acounts=1000", "--devicesx=3",
+                                        "--smoke=1", "devices=4"}));
+}
+
+TEST(BenchFlags, MalformedIntegerIsRejected)
+{
+    for (const char *bad : {"--devices=abc", "--devices=", "--devices",
+                            "--devices=12x", "--devices=1.5",
+                            "--devices=99999999999", "--trace-out"}) {
+        Argv args({"bench", bad});
+        int devices = 8;
+        std::string traceOut;
+        EXPECT_FALSE(parseFlags(args.argc, args.ptrs.data(),
+                                {{"devices", devices, 1},
+                                 {"trace-out", traceOut}}))
+            << bad;
+    }
+}
+
+TEST(BenchLatency, SummaryOfAFixedSample)
+{
+    // 1..20 ms out of order, taken over 2 s of wall time.
+    std::vector<double> ms;
+    for (int i = 20; i >= 1; --i)
+        ms.push_back(i);
+    const auto s = trust::benchutil::summarizeLatencies(ms, 2.0);
+    EXPECT_DOUBLE_EQ(s.opsPerSec, 10.0);
+    EXPECT_DOUBLE_EQ(s.meanMs, 10.5);
+    // Nearest rank over 20 sorted samples: index round(q * 19).
+    EXPECT_DOUBLE_EQ(s.p50Ms, 11.0);
+    EXPECT_DOUBLE_EQ(s.p95Ms, 19.0);
+    EXPECT_DOUBLE_EQ(s.p99Ms, 20.0);
+}
+
+TEST(BenchLatency, EmptySampleSummarisesToZero)
+{
+    const auto s = trust::benchutil::summarizeLatencies({}, 1.0);
+    EXPECT_EQ(s.opsPerSec, 0.0);
+    EXPECT_EQ(s.meanMs, 0.0);
+    EXPECT_EQ(s.p50Ms, 0.0);
+    EXPECT_EQ(s.p95Ms, 0.0);
+    EXPECT_EQ(s.p99Ms, 0.0);
 }
 
 } // namespace

@@ -124,7 +124,8 @@ TEST(ObsProperty, SpanStackWellFormedUnderRandomOpenClose)
         const int ops = 200;
         for (int i = 0; i < ops; ++i) {
             if (rng.uniform() < 0.45) {
-                tracer.beginSpan("s" + std::to_string(i % 7));
+                tracer.beginSpan(
+                    std::string("s").append(std::to_string(i % 7)));
                 ++open;
             } else {
                 // Ends fired regardless of stack state: empty-stack

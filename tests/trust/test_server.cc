@@ -391,7 +391,8 @@ TEST(FrameAudit, AuditAfterPageCacheEvictionFlagsTamperedFrames)
         const bool tamper = i % 10 == 3;
         tampered += tamper ? 1 : 0;
         ASSERT_TRUE(
-            live.browse(171 + i, "p" + std::to_string(i), tamper));
+            live.browse(171 + i, std::string("p").append(std::to_string(i)),
+                        tamper));
     }
     EXPECT_EQ(live.server.viewHashSetBuilds(), 0u);
     // The fixture's registration and login frames are placeholders,
@@ -408,7 +409,8 @@ TEST(FrameAudit, OnlineRejectsTamperedFramesAndBuildsOncePerTag)
     policy.onlineFrameVerification = true;
     LiveSession live(180, policy, smallDisplay());
     for (std::uint64_t i = 0; i < 24; ++i)
-        ASSERT_TRUE(live.browse(181 + i, "v" + std::to_string(i % 4),
+        ASSERT_TRUE(live.browse(181 + i,
+                                std::string("v").append(std::to_string(i % 4)),
                                 /*tamper=*/false));
     // Tags shown: home plus page/v0..v3.
     EXPECT_EQ(live.server.viewHashSetBuilds(), 5u);
@@ -427,7 +429,8 @@ TEST(FrameAudit, ConcurrentAuditsShareOneSetPerTag)
 {
     LiveSession live(190, {}, smallDisplay());
     for (std::uint64_t i = 0; i < 12; ++i)
-        ASSERT_TRUE(live.browse(191 + i, "c" + std::to_string(i % 3),
+        ASSERT_TRUE(live.browse(191 + i,
+                                std::string("c").append(std::to_string(i % 3)),
                                 /*tamper=*/i == 5));
     std::vector<std::size_t> flagged(4);
     std::vector<std::thread> auditors;
